@@ -7,11 +7,11 @@ emission geometry of the source crystal, and inverts measured traces to
 estimate the rotational beat frequency.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .hybrid_state import (
-    ElementKind,
-    ElementSpec,
     EmptyStateError,
     InvalidStateError,
     PhotonLabel,
@@ -20,7 +20,6 @@ from .hybrid_state import (
     SpatialMode,
     TwoPhotonState,
     apply_delay_and_beamsplitter,
-    apply_element,
     apply_polarizer_projection,
     apply_qwp,
     apply_rotating_qplate,
@@ -84,4 +83,9 @@ from .rotation_estimator import (
     synthesize_trace,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names re-exported above, without the submodules the imports bind
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -76,8 +76,14 @@ DEFAULTS = {
 }
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _preamble(command: str) -> dict:
+    """The metadata keys every exported file opens with."""
+    return {
+        "tool": "hombeat",
+        "version": __version__,
+        "command": command,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _load_config(path: str | None) -> dict:
@@ -173,10 +179,7 @@ def cmd_jsa(args: argparse.Namespace) -> int:
     nu1 = np.repeat(grid.axis1, n)
     nu2 = np.tile(grid.axis2, n)
     meta = {
-        "tool": "hombeat",
-        "version": __version__,
-        "command": "jsa",
-        "timestamp": _timestamp(),
+        **_preamble("jsa"),
         "sigma_rad_s": sigma,
         "gamma": gamma,
         "a_coef": a_coef,
@@ -217,10 +220,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
     )
     result = trace(cfg, method=method)
     meta = {
-        "tool": "hombeat",
-        "version": __version__,
-        "command": "hom",
-        "timestamp": _timestamp(),
+        **_preamble("hom"),
         "tau_c": cfg.tau_c,
         "l": cfg.l,
         "omega_rot": cfg.omega_rot,
@@ -262,10 +262,7 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     angle_o = [o_map.get(f) for f in freqs]
     angle_e = [e_map.get(f) for f in freqs]
     meta = {
-        "tool": "hombeat",
-        "version": __version__,
-        "command": "phasematch",
-        "timestamp": _timestamp(),
+        **_preamble("phasematch"),
         "cut_angle_deg": cfg.cut_angle_deg,
         "pump_thz": cfg.pump_frequency_thz,
         "f_min_thz": f_min,
@@ -305,16 +302,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError("--input trace CSV is required")
     try:
         _, tau, prob = read_hom_trace(p["input"])
-        noisy = NoisyTrace(tau=tau, p=prob)
-        if tau.size < 32:
-            raise ValueError("trace needs at least 32 samples")
-    except FileNotFoundError:
-        print(f"error: input file not found: {p['input']}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = estimate(noisy)
+    except FileNotFoundError as exc:
+        # a missing input is a usage error (exit 2), not an i/o failure (exit 3)
+        raise ValueError(f"input file not found: {p['input']}") from exc
+    result = estimate(NoisyTrace(tau=tau, p=prob))
     document = {
         "tool": "hombeat",
         "version": __version__,

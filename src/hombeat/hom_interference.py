@@ -45,10 +45,12 @@ class HomConfig:
     tau_grid: tuple[float, ...]  # s
 
     def __post_init__(self):
-        if not self.tau_c > 0.0:
-            raise ValueError("tau_c must be positive")
+        if not (self.tau_c > 0.0 and math.isfinite(self.tau_c)):
+            raise ValueError("tau_c must be positive and finite")
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise ValueError("l must be an integer >= 0")
+        if not math.isfinite(self.omega_rot):
+            raise ValueError("omega_rot must be finite")
         if not all(math.isfinite(t) for t in self.tau_grid):
             raise ValueError("tau grid must contain finite values")
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
@@ -131,25 +133,27 @@ def make_shifted_spectra(
     )
 
 
-def coincidence_plain(tau: float, tau_c: float) -> float:
-    """Gaussian dip: ``1/2 - (1/2) exp(-tau^2 / (2 tau_c^2))``."""
-    if not tau_c > 0.0:
-        raise ValueError("tau_c must be positive")
-    return 0.5 - 0.5 * math.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+def coincidence_plain(tau, tau_c: float):
+    """Gaussian dip ``1/2 - (1/2) exp(-tau^2 / (2 tau_c^2))``: the beating dip at ``l = 0``."""
+    return coincidence_rde(tau, tau_c, 0, 0.0)
 
 
-def coincidence_rde(tau: float, tau_c: float, l: int, omega_rot: float) -> float:
+def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
     """Cosine-modulated dip: ``1/2 - (1/2) cos(2 l omega tau) exp(-tau^2/(2 tau_c^2))``.
 
-    Only the product ``2 l omega_rot`` enters, so any factorization of the
-    same beat gives the identical value.
+    ``tau`` is one delay (the result is a float) or an array of delays (the
+    result is an array of the same shape).  Only the product
+    ``2 l omega_rot`` enters, so any factorization of the same beat gives the
+    identical value.
     """
     if not tau_c > 0.0:
         raise ValueError("tau_c must be positive")
     if l < 0:
         raise ValueError("l must be >= 0")
     beat = 2.0 * l * omega_rot
-    return 0.5 - 0.5 * math.cos(beat * tau) * math.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+    tau = np.asarray(tau, dtype=float)
+    p = 0.5 - 0.5 * np.cos(beat * tau) * np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+    return float(p) if p.ndim == 0 else p
 
 
 def coincidence_numeric(
@@ -214,7 +218,7 @@ def trace(cfg: HomConfig, method: str = "closed") -> HomTrace:
         raise ValueError("method must be 'closed' or 'numeric'")
     taus = np.asarray(cfg.tau_grid, dtype=float)
     if method == "closed":
-        p = np.array([coincidence_rde(t, cfg.tau_c, cfg.l, cfg.omega_rot) for t in taus])
+        p = coincidence_rde(taus, cfg.tau_c, cfg.l, cfg.omega_rot)
     else:
         spectra = make_shifted_spectra(cfg.tau_c, cfg.l, cfg.omega_rot)
         p = np.array([coincidence_numeric(t, spectra) for t in taus])

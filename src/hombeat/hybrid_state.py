@@ -43,14 +43,6 @@ class SpatialMode(Enum):
     B = "b"
 
 
-class ElementKind(Enum):
-    QWP = "qwp"
-    ROTATING_QPLATE = "rotating_qplate"
-    POLARIZER_PROJECT = "polarizer_project"
-    TIME_DELAY = "time_delay"
-    BEAM_SPLITTER = "beam_splitter"
-
-
 class InvalidStateError(ValueError):
     """The state is not in the basis an optical element expects."""
 
@@ -170,33 +162,6 @@ def _merged(terms: Sequence[ProductTerm]) -> tuple[ProductTerm, ...]:
 def _require_normalized(state: TwoPhotonState) -> None:
     if abs(state.norm_squared() - 1.0) > 1e-9:
         raise InvalidStateError("state must be normalized before applying an element")
-
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declarative description of one optical element.
-
-    ``params`` carries the element's named real parameters: ``l`` and
-    ``omega_rot`` (rad/s) for the rotating q-plate, ``tau`` (s) for the time
-    delay; the other elements take none.
-    """
-
-    kind: ElementKind
-    params: dict[str, float] | None = None
-
-    def __post_init__(self):
-        p = self.params or {}
-        if self.kind is ElementKind.ROTATING_QPLATE:
-            l = p.get("l")
-            omega = p.get("omega_rot")
-            if l is None or float(l) != int(l):
-                raise ValueError("rotating q-plate requires an integer l")
-            if omega is None or not math.isfinite(omega):
-                raise ValueError("rotating q-plate requires a finite omega_rot")
-        elif self.kind is ElementKind.TIME_DELAY:
-            tau = p.get("tau")
-            if tau is None or not math.isfinite(tau):
-                raise ValueError("time delay requires a finite tau")
 
 
 def new_spdc_state(center_frequency: float) -> TwoPhotonState:
@@ -352,22 +317,6 @@ def apply_delay_and_beamsplitter(state: TwoPhotonState, tau: float) -> TwoPhoton
     return _apply_beamsplitter_postselect(_apply_time_delay(state, tau))
 
 
-def apply_element(state: TwoPhotonState, spec: ElementSpec) -> TwoPhotonState:
-    """Dispatch one declarative element onto a state."""
-    p = spec.params or {}
-    if spec.kind is ElementKind.QWP:
-        return apply_qwp(state)
-    if spec.kind is ElementKind.ROTATING_QPLATE:
-        return apply_rotating_qplate(state, int(p["l"]), float(p["omega_rot"]))
-    if spec.kind is ElementKind.POLARIZER_PROJECT:
-        return apply_polarizer_projection(state)
-    if spec.kind is ElementKind.TIME_DELAY:
-        return _apply_time_delay(state, float(p["tau"]))
-    if spec.kind is ElementKind.BEAM_SPLITTER:
-        return _apply_beamsplitter_postselect(state)
-    raise ValueError(f"unknown element kind {spec.kind!r}")
-
-
 def run_pipeline(l: int, omega_rot: float, center_frequency: float) -> tuple[TwoPhotonState, ...]:
     """Propagate the source pair through the full element chain.
 
@@ -377,16 +326,9 @@ def run_pipeline(l: int, omega_rot: float, center_frequency: float) -> tuple[Two
     OAM-frequency state after the inverse plates and polarizers.
     """
     source = new_spdc_state(center_frequency)
-    elements = (
-        ElementSpec(ElementKind.QWP),
-        ElementSpec(ElementKind.ROTATING_QPLATE, {"l": l, "omega_rot": omega_rot}),
-        ElementSpec(ElementKind.QWP),
-        ElementSpec(ElementKind.POLARIZER_PROJECT),
-    )
-    spin = apply_element(source, elements[0])
-    hybrid = apply_element(spin, elements[1])
-    back_to_pol = apply_element(hybrid, elements[2])
-    output = apply_element(back_to_pol, elements[3])
+    spin = apply_qwp(source)
+    hybrid = apply_rotating_qplate(spin, l, omega_rot)
+    output = apply_polarizer_projection(apply_qwp(hybrid))
     return (source, spin, hybrid, output)
 
 

@@ -162,6 +162,24 @@ def _pump_wavenumber(cfg: CrystalConfig) -> float:
     return n_p * cfg.pump_frequency_thz
 
 
+def _index(cfg: CrystalConfig, f_thz: float, extraordinary: bool, theta: float) -> float:
+    """Index of one photon: extraordinary at ``cut + theta`` from the optic axis, or ordinary."""
+    lam = wavelength_um(f_thz)
+    if extraordinary:
+        return n_extraordinary(lam, math.radians(cfg.cut_angle_deg) + theta, cfg.sellmeier)
+    return n_ordinary(lam, cfg.sellmeier)
+
+
+def _idler_wavevector(
+    cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_s: float
+) -> tuple[float, float, float]:
+    """Signal index, then the idler's transverse and longitudinal wave number that
+    momentum conservation requires."""
+    n_s = _index(cfg, f_signal, signal_ray != "ordinary", theta_s)
+    k_s = n_s * f_signal
+    return n_s, k_s * math.sin(theta_s), _pump_wavenumber(cfg) - k_s * math.cos(theta_s)
+
+
 def _shell_mismatch(cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_s: float) -> float:
     """Idler dispersion-shell mismatch for a trial signal emission angle.
 
@@ -171,36 +189,11 @@ def _shell_mismatch(cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_
     the one the idler's dispersion allows at the resulting angle; a root
     means both photons sit on shell with momentum exactly conserved.
     """
-    cut = math.radians(cfg.cut_angle_deg)
     f_idler = cfg.pump_frequency_thz - f_signal
-    lam_s = wavelength_um(f_signal)
-    lam_i = wavelength_um(f_idler)
-    k_p = _pump_wavenumber(cfg)
-    if signal_ray == "ordinary":
-        n_s = n_ordinary(lam_s, cfg.sellmeier)
-    else:
-        n_s = n_extraordinary(lam_s, cut + theta_s, cfg.sellmeier)
-    k_s = n_s * f_signal
-    k_i_trans = k_s * math.sin(theta_s)
-    k_i_long = k_p - k_s * math.cos(theta_s)
+    _, k_i_trans, k_i_long = _idler_wavevector(cfg, f_signal, signal_ray, theta_s)
     theta_i = math.atan2(k_i_trans, k_i_long)
-    if signal_ray == "ordinary":
-        n_i = n_extraordinary(lam_i, cut + theta_i, cfg.sellmeier)
-    else:
-        n_i = n_ordinary(lam_i, cfg.sellmeier)
+    n_i = _index(cfg, f_idler, signal_ray == "ordinary", theta_i)
     return math.hypot(k_i_trans, k_i_long) - n_i * f_idler
-
-
-def _idler_angle(cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_s: float) -> float:
-    cut = math.radians(cfg.cut_angle_deg)
-    lam_s = wavelength_um(f_signal)
-    if signal_ray == "ordinary":
-        n_s = n_ordinary(lam_s, cfg.sellmeier)
-    else:
-        n_s = n_extraordinary(lam_s, cut + theta_s, cfg.sellmeier)
-    k_s = n_s * f_signal
-    k_p = _pump_wavenumber(cfg)
-    return math.atan2(k_s * math.sin(theta_s), k_p - k_s * math.cos(theta_s))
 
 
 def solve_emission_point(
@@ -243,20 +236,14 @@ def solve_emission_point(
             else:
                 a, fa = m, fm
         theta_s = 0.5 * (a + b)
-        cut = math.radians(cfg.cut_angle_deg)
-        lam_s = wavelength_um(f_signal_thz)
-        if signal_ray == "ordinary":
-            n_s = n_ordinary(lam_s, cfg.sellmeier)
-        else:
-            n_s = n_extraordinary(lam_s, cut + theta_s, cfg.sellmeier)
+        n_s, k_i_trans, k_i_long = _idler_wavevector(cfg, f_signal_thz, signal_ray, theta_s)
         sin_out = n_s * math.sin(theta_s)
         if abs(sin_out) > 1.0:
             return None
-        theta_i = _idler_angle(cfg, f_signal_thz, signal_ray, theta_s)
         return EmissionPoint(
             signal_frequency_thz=f_signal_thz,
             signal_internal_angle_rad=theta_s,
-            idler_internal_angle_rad=theta_i,
+            idler_internal_angle_rad=math.atan2(k_i_trans, k_i_long),
             outside_angle_deg=math.degrees(math.asin(sin_out)),
         )
     except ValueError:
@@ -272,19 +259,12 @@ def momentum_residuals(
     Reconstructs both photons strictly on their dispersion shells at the
     solved angles and reports the transverse and longitudinal leftovers.
     """
-    cut = math.radians(cfg.cut_angle_deg)
     f_s = point.signal_frequency_thz
     f_i = cfg.pump_frequency_thz - f_s
-    lam_s, lam_i = wavelength_um(f_s), wavelength_um(f_i)
-    if signal_ray == "ordinary":
-        n_s = n_ordinary(lam_s, cfg.sellmeier)
-        n_i = n_extraordinary(lam_i, cut + point.idler_internal_angle_rad, cfg.sellmeier)
-    else:
-        n_s = n_extraordinary(lam_s, cut + point.signal_internal_angle_rad, cfg.sellmeier)
-        n_i = n_ordinary(lam_i, cfg.sellmeier)
-    k_s, k_i = n_s * f_s, n_i * f_i
-    k_p = _pump_wavenumber(cfg)
     ts, ti = point.signal_internal_angle_rad, point.idler_internal_angle_rad
+    k_s = _index(cfg, f_s, signal_ray != "ordinary", ts) * f_s
+    k_i = _index(cfg, f_i, signal_ray == "ordinary", ti) * f_i
+    k_p = _pump_wavenumber(cfg)
     trans = k_s * math.sin(ts) - k_i * math.sin(ti)
     longi = k_p - k_s * math.cos(ts) - k_i * math.cos(ti)
     return abs(trans) / k_p, abs(longi) / k_p

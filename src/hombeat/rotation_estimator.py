@@ -7,7 +7,8 @@ the same trace and therefore the same estimate.
 
 Fitting proceeds in three steps: the envelope is fitted first, the beat is
 then read off a demodulated spectrum, and finally all three parameters are
-refined jointly by damped Gauss-Newton least squares.
+refined jointly.  Every fit is the same damped Gauss-Newton least squares on
+the same model; the envelope and plain-dip fits pin the beat to zero.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class NoisyTrace:
         object.__setattr__(self, "p", p)
         if tau.shape != p.shape or tau.ndim != 1:
             raise ValueError("tau and p must be equal-length 1-d arrays")
+        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(p))):
+            raise ValueError("delays and probabilities must be finite")
         if tau.size >= 2 and np.any(np.diff(tau) <= 0.0):
             raise ValueError("delays must be strictly increasing")
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be >= 0")
 
 
@@ -89,7 +92,7 @@ def synthesize_trace(cfg: HomConfig, noise_sigma: float, seed: int) -> NoisyTrac
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
     tau = np.asarray(cfg.tau_grid, dtype=float)
-    p = np.array([coincidence_rde(t, cfg.tau_c, cfg.l, cfg.omega_rot) for t in tau])
+    p = coincidence_rde(tau, cfg.tau_c, cfg.l, cfg.omega_rot)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         p = p + rng.normal(0.0, noise_sigma, size=p.shape)
@@ -132,25 +135,40 @@ def _damped_gauss_newton(residual, jacobian, theta0, max_iter=MAX_ITERATIONS, re
     return theta, False, iterations
 
 
-def _fit_envelope_points(taus, depths, tau_c0, v0):
-    """Least squares of (V/2) exp(-tau^2/(2 tau_c^2)) to dip-depth samples."""
+def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
+    """Damped Gauss-Newton fit of the dip model to ``target`` samples.
+
+    Parameters are scaled to order one as (V, beat * t0, tau_c / t0) with
+    ``t0 = tau_c0``; unless ``free_beat`` is set the beat stays pinned at
+    ``beat0``.  Returns (V, beat, tau_c, rms residual, converged, iterations).
+    """
     t0 = tau_c0
+    free = np.array([True, free_beat, True])
+    start = np.array([v0, beat0 * t0, 1.0])
+
+    def unpack(theta):
+        full = start.copy()
+        full[free] = theta
+        return full
 
     def residual(theta):
-        v, u = theta
-        return 0.5 * v * np.exp(-(taus**2) / (2.0 * (u * t0) ** 2)) - depths
+        v, b, u = unpack(theta)
+        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
+        return 0.5 - 0.5 * v * np.cos(b / t0 * tau) * env - target
 
     def jacobian(theta):
-        v, u = theta
-        env = np.exp(-(taus**2) / (2.0 * (u * t0) ** 2))
-        d_v = 0.5 * env
-        d_u = 0.5 * v * env * (taus**2) / ((u * t0) ** 2 * u)
-        return np.column_stack([d_v, d_u])
+        v, b, u = unpack(theta)
+        arg = b / t0 * tau
+        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
+        d_v = -0.5 * np.cos(arg) * env
+        d_b = 0.5 * v * np.sin(arg) * env * tau / t0
+        d_u = -0.5 * v * np.cos(arg) * env * (tau**2) / ((u * t0) ** 2 * u)
+        return np.column_stack([d_v, d_b, d_u])[:, free]
 
-    theta, converged, _ = _damped_gauss_newton(residual, jacobian, np.array([v0, 1.0]))
-    v_hat = float(theta[0])
-    tau_c_hat = abs(float(theta[1])) * t0
-    return tau_c_hat, v_hat, converged
+    theta, converged, iterations = _damped_gauss_newton(residual, jacobian, start[free])
+    v, b, u = unpack(theta)
+    rms = float(np.sqrt(np.mean(residual(theta) ** 2)))
+    return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
@@ -200,7 +218,11 @@ def fit_envelope(trace: NoisyTrace) -> EnvelopeFit:
         tau_c0 = float(tau.max() - tau.min()) / 4.0
     v0 = min(1.2, 2.0 * float(d_fit.max()))
 
-    tau_c_hat, v_hat, converged = _fit_envelope_points(t_fit, d_fit, tau_c0, v0)
+    # fitting the model to 1/2 - depth leaves the same sum of squares as
+    # fitting the envelope (V/2) exp(-tau^2/(2 tau_c^2)) to the depths
+    v_hat, _, tau_c_hat, _, converged, _ = _fit_dip(
+        t_fit, 0.5 - d_fit, v0, 0.0, tau_c0, free_beat=False
+    )
     if not math.isfinite(tau_c_hat) or tau_c_hat <= 0.0:
         return EnvelopeFit(tau_c_hat=tau_c0, visibility_hat=max(v_hat, 0.0), converged=False)
     if v_hat < _MIN_VISIBILITY:
@@ -283,62 +305,8 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     return beat
 
 
-def _joint_fit(trace: NoisyTrace, v0: float, beat0: float, tau_c0: float):
-    """Damped Gauss-Newton on the full model, parameters scaled to order one."""
-    tau = trace.tau
-    p = trace.p
-    t0 = tau_c0
-
-    def model(theta):
-        v, b, u = theta
-        return 0.5 - 0.5 * v * np.cos(b / t0 * tau) * np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
-
-    def residual(theta):
-        return model(theta) - p
-
-    def jacobian(theta):
-        v, b, u = theta
-        arg = b / t0 * tau
-        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
-        d_v = -0.5 * np.cos(arg) * env
-        d_b = 0.5 * v * np.sin(arg) * env * tau / t0
-        d_u = -0.5 * v * np.cos(arg) * env * (tau**2) / ((u * t0) ** 2 * u)
-        return np.column_stack([d_v, d_b, d_u])
-
-    theta0 = np.array([v0, beat0 * t0, 1.0])
-    theta, converged, iterations = _damped_gauss_newton(residual, jacobian, theta0)
-    v, b, u = theta
-    rms = float(np.sqrt(np.mean(residual(theta) ** 2)))
-    return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
-
-
-def _plain_fit(trace: NoisyTrace, v0: float, tau_c0: float):
-    """Joint fit with the beat pinned to zero (plain Gaussian dip)."""
-    tau = trace.tau
-    p = trace.p
-    t0 = tau_c0
-
-    def residual(theta):
-        v, u = theta
-        return (0.5 - 0.5 * v * np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))) - p
-
-    def jacobian(theta):
-        v, u = theta
-        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
-        d_v = -0.5 * env
-        d_u = -0.5 * v * env * (tau**2) / ((u * t0) ** 2 * u)
-        return np.column_stack([d_v, d_u])
-
-    theta, converged, iterations = _damped_gauss_newton(residual, jacobian, np.array([v0, 1.0]))
-    v, u = theta
-    rms = float(np.sqrt(np.mean(residual(theta) ** 2)))
-    return float(v), abs(float(u)) * t0, rms, converged, iterations
-
-
 def estimate(trace: NoisyTrace) -> EstimateResult:
     """Full estimation: envelope and beat initialization, then joint refinement."""
-    if trace.tau.size < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit")
     env = fit_envelope(trace)
     if env.visibility_hat < _MIN_VISIBILITY:
         span = float(trace.tau.max() - trace.tau.min())
@@ -353,22 +321,12 @@ def estimate(trace: NoisyTrace) -> EstimateResult:
             below_resolution=True,
         )
     beat0 = extract_beat(trace, env.tau_c_hat)
-    if beat0 == 0.0:
-        v, tau_c_hat, rms, converged, iterations = _plain_fit(
-            trace, env.visibility_hat, env.tau_c_hat
-        )
-        return EstimateResult(
-            beat=0.0,
-            tau_c_hat=tau_c_hat,
-            visibility_hat=max(v, 0.0),
-            rms_residual=rms,
-            converged=converged and env.converged,
-            iterations=iterations,
-            below_resolution=True,
-        )
-    v, beat, tau_c_hat, rms, converged, iterations = _joint_fit(
-        trace, env.visibility_hat, beat0, env.tau_c_hat
+    below_resolution = beat0 == 0.0
+    v, beat, tau_c_hat, rms, converged, iterations = _fit_dip(
+        trace.tau, trace.p, env.visibility_hat, beat0, env.tau_c_hat, free_beat=not below_resolution
     )
+    if below_resolution:
+        converged = converged and env.converged
     return EstimateResult(
         beat=beat,
         tau_c_hat=tau_c_hat,
@@ -376,5 +334,5 @@ def estimate(trace: NoisyTrace) -> EstimateResult:
         rms_residual=rms,
         converged=converged,
         iterations=iterations,
-        below_resolution=False,
+        below_resolution=below_resolution,
     )

@@ -110,6 +110,13 @@ def test_hom_rejects_bad_span(tmp_path):
     assert run(["hom", "--tau-span", "-1", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--omega", "nan"), ("--tau-c", "inf"), ("--tau-c", "nan")])
+def test_hom_rejects_non_finite_parameters(tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    assert run(["hom", flag, value, "--points", "11", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_hom_numeric_failure_exits_3(tmp_path, capsys):
     # a one-second delay makes the overlap integrand oscillate beyond any
     # subdivision budget

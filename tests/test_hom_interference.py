@@ -66,6 +66,16 @@ def test_rde_without_rotation_reduces_to_plain():
         assert coincidence_rde(tau, TAU_C, 2, 0.0) == coincidence_plain(tau, TAU_C)
 
 
+def test_closed_forms_take_arrays():
+    taus = np.linspace(-3e-12, 3e-12, 61)
+    p = coincidence_rde(taus, TAU_C, 2, 2e12)
+    assert isinstance(p, np.ndarray) and p.shape == taus.shape
+    assert np.array_equal(p, [coincidence_rde(t, TAU_C, 2, 2e12) for t in taus])
+    assert type(coincidence_rde(1e-12, TAU_C, 2, 2e12)) is float
+    assert type(coincidence_plain(np.float64(1e-12), TAU_C)) is float
+    assert np.array_equal(coincidence_plain(taus, TAU_C), coincidence_rde(taus, TAU_C, 0, 0.0))
+
+
 def test_closed_forms_validate():
     with pytest.raises(ValueError):
         coincidence_plain(0.0, 0.0)
@@ -174,6 +184,12 @@ def test_trace_numeric_method_agrees():
     closed = trace(cfg, method="closed")
     numeric = trace(cfg, method="numeric")
     assert np.max(np.abs(closed.p - numeric.p)) < 1e-6
+
+
+def test_config_rejects_non_finite_parameters():
+    for tau_c, omega in [(math.inf, 2e12), (math.nan, 2e12), (TAU_C, math.nan), (TAU_C, math.inf)]:
+        with pytest.raises(ValueError):
+            HomConfig(tau_c=tau_c, l=2, omega_rot=omega, tau_grid=grid(1e-12, 33))
 
 
 def test_trace_method_validation():

@@ -138,6 +138,13 @@ def test_qplate_rejects_bad_charge():
         apply_rotating_qplate(state, 1.5, 1e12)  # type: ignore[arg-type]
 
 
+def test_qplate_rejects_non_finite_rotation():
+    state = apply_qwp(new_spdc_state(OMEGA_DEG))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            apply_rotating_qplate(state, 2, bad)
+
+
 # ---------------------------------------------------------------------------
 # polarizer projection
 
@@ -219,6 +226,13 @@ def test_delay_degenerate_frequencies_share_global_phase():
         assert phase == pytest.approx(expected, abs=1e-12)
 
 
+def test_delay_rejects_non_finite_tau():
+    output = run_pipeline(2, 1e12, OMEGA_DEG)[-1]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            apply_delay_and_beamsplitter(output, bad)
+
+
 def test_delay_rejects_labeled_state():
     with pytest.raises(InvalidStateError):
         apply_delay_and_beamsplitter(new_spdc_state(OMEGA_DEG), 1e-12)
@@ -296,42 +310,6 @@ def test_merge_tolerance_on_detunings():
     c = ProductTerm(amp, PhotonLabel(pol=Pol.V, detuning=2e-6), PhotonLabel(pol=Pol.H))
     separate = apply_polarizer_projection(TwoPhotonState((a, c), OMEGA_DEG))
     assert len(separate.terms) == 2
-
-
-# ---------------------------------------------------------------------------
-# declarative elements
-
-
-def test_element_spec_validation():
-    from hombeat.hybrid_state import ElementKind, ElementSpec
-
-    ElementSpec(ElementKind.ROTATING_QPLATE, {"l": 2, "omega_rot": 1e12})
-    with pytest.raises(ValueError):
-        ElementSpec(ElementKind.ROTATING_QPLATE, {"l": 1.5, "omega_rot": 1e12})
-    with pytest.raises(ValueError):
-        ElementSpec(ElementKind.ROTATING_QPLATE, {"l": 2, "omega_rot": math.inf})
-    with pytest.raises(ValueError):
-        ElementSpec(ElementKind.TIME_DELAY, {"tau": math.nan})
-    ElementSpec(ElementKind.TIME_DELAY, {"tau": 1e-12})
-    ElementSpec(ElementKind.QWP)
-
-
-def test_apply_element_composes_like_direct_calls():
-    from hombeat.hybrid_state import ElementKind, ElementSpec, apply_element
-
-    state = new_spdc_state(OMEGA_DEG)
-    via_elements = state
-    for spec in (
-        ElementSpec(ElementKind.QWP),
-        ElementSpec(ElementKind.ROTATING_QPLATE, {"l": 2, "omega_rot": 1e12}),
-        ElementSpec(ElementKind.QWP),
-        ElementSpec(ElementKind.POLARIZER_PROJECT),
-        ElementSpec(ElementKind.TIME_DELAY, {"tau": 0.2e-12}),
-        ElementSpec(ElementKind.BEAM_SPLITTER),
-    ):
-        via_elements = apply_element(via_elements, spec)
-    direct = apply_delay_and_beamsplitter(run_pipeline(2, 1e12, OMEGA_DEG)[-1], 0.2e-12)
-    assert state_overlap(via_elements, direct) == pytest.approx(1.0, abs=NORM_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_trace_validation():
         NoisyTrace(tau=np.array([0.0, 1.0]), p=np.zeros(3))
 
 
+def test_trace_rejects_non_finite_samples():
+    taus = np.linspace(-3e-12, 3e-12, 101)
+    p = synthesize_trace(cfg(n=101), 0.0, seed=0).p
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NoisyTrace(tau=taus, p=np.where(np.arange(101) == 50, bad, p))
+        with pytest.raises(ValueError):
+            NoisyTrace(tau=np.where(np.arange(101) == 100, bad, taus), p=p)
+    with pytest.raises(ValueError):
+        NoisyTrace(tau=taus, p=p, noise_sigma=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # envelope fitting
 
