@@ -74,6 +74,9 @@ DEFAULTS = {
     },
     "estimate": {"input": None, "out": None},
 }
+# phasematch also reads a custom dispersion set from the config file
+_SELLMEIER_KEYS = {"sellmeier_ordinary", "sellmeier_extraordinary", "sellmeier_provenance"}
+_INTEGER_KEYS = {"l", "rde_l", "grid", "points"}
 
 
 def _preamble(command: str) -> dict:
@@ -104,6 +107,13 @@ def _load_config(path: str | None) -> dict:
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Layer values: explicit flag > config file > built-in default."""
     config = _load_config(getattr(args, "config", None))
+    allowed = set(DEFAULTS[command]) | (_SELLMEIER_KEYS if command == "phasematch" else set())
+    unknown = set(config) - allowed
+    if unknown:
+        raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
+    for key in _INTEGER_KEYS & set(config):
+        if not isinstance(config[key], int) or isinstance(config[key], bool):
+            raise ValueError(f"config key {key} must be an integer, got {config[key]!r}")
     resolved = {}
     for key, default in DEFAULTS[command].items():
         flag_value = getattr(args, key, None)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 _COEF_MATCH_TOL = 1e-12
 
@@ -25,8 +24,8 @@ class PumpSpectrum:
     sigma: float  # rad/s
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("pump sigma must be positive")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError("pump sigma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,13 @@ class PhaseMatchGaussian:
     b_coef: float | None = None
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
         if self.b_coef is None:
             object.__setattr__(self, "b_coef", -self.a_coef)
-        elif abs(self.a_coef + self.b_coef) > _COEF_MATCH_TOL * max(1.0, abs(self.a_coef)):
+        if not (math.isfinite(self.a_coef) and math.isfinite(self.b_coef)):
+            raise ValueError("phase-matching coefficients must be finite")
+        if abs(self.a_coef + self.b_coef) > _COEF_MATCH_TOL * max(1.0, abs(self.a_coef)):
             raise ValueError("phase-matching coefficients must satisfy b_coef = -a_coef")
 
 
@@ -120,8 +121,8 @@ def jsa_grid(
     """
     if n < 16:
         raise ValueError("grid size n must be at least 16")
-    if not half_width > 0.0:
-        raise ValueError("half_width must be positive")
+    if not (half_width > 0.0 and math.isfinite(half_width)):
+        raise ValueError("half_width must be positive and finite")
     axis = np.linspace(-half_width, half_width, n)
     nu1 = axis[:, None]
     nu2 = axis[None, :]
@@ -163,12 +164,20 @@ def peak_locations(grid: JsaGrid) -> list[tuple[float, float]]:
             if di == 0 and dj == 0:
                 continue
             mask &= core >= v[1 + di : v.shape[0] - 1 + di, 1 + dj : v.shape[1] - 1 + dj]
-    labels, n_groups = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    # two adjacent qualifying cells are each >= the other, so an 8-connected
+    # group is a plateau of equal values: its raster-first cell is its first highest
+    unseen = {tuple(cell) for cell in np.argwhere(mask).tolist()}
     peaks = []
-    for group in range(1, n_groups + 1):
-        cells = np.argwhere(labels == group)
-        values = core[cells[:, 0], cells[:, 1]]
-        i, j = cells[int(np.argmax(values))]
+    while unseen:
+        i, j = min(unseen)  # the next group's raster-first cell
+        unseen.remove((i, j))
+        stack = [(i, j)]
+        while stack:
+            a, b = stack.pop()
+            for cell in [(a + da, b + db) for da in (-1, 0, 1) for db in (-1, 0, 1)]:
+                if cell in unseen:
+                    unseen.remove(cell)
+                    stack.append(cell)
         peaks.append((float(core[i, j]), float(grid.axis1[i + 1]), float(grid.axis2[j + 1])))
     peaks.sort(key=lambda t: -t[0])
     return [(nu1, nu2) for _, nu1, nu2 in peaks]

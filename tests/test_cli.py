@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hombeat
 from hombeat.cli import main
 from hombeat.dataio import read_csv, write_csv
 
@@ -76,6 +82,17 @@ def test_jsa_rejects_negative_charge(tmp_path):
     assert run(["jsa", "--rde-l", "-2", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--gamma", "inf"), ("--a-coef", "inf"), ("--a-coef", "nan"), ("--half-width", "inf"),
+     ("--sigma", "inf")],
+)
+def test_jsa_rejects_non_finite_parameters(tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    assert run(["jsa", flag, value, "--grid", "16", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_jsa_unwritable_output_exits_3(tmp_path):
     missing_dir = tmp_path / "does" / "not" / "exist" / "jsa.csv"
     assert run(["jsa", "--grid", "16", "--out", str(missing_dir)]) == 3
@@ -119,7 +136,7 @@ def test_hom_rejects_non_finite_parameters(tmp_path, flag, value):
 
 def test_hom_numeric_failure_exits_3(tmp_path, capsys):
     # a one-second delay makes the overlap integrand oscillate beyond any
-    # subdivision budget
+    # panel budget
     code = run(
         ["hom", "--method", "numeric", "--tau-span", "1", "--points", "3",
          "--out", str(tmp_path / "x.csv")]
@@ -252,6 +269,21 @@ def test_bad_config_exits_2(tmp_path):
     assert run(["pipeline", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [("hom", {"tau-c": 5e-12}), ("hom", {"sellmeier_ordinary": [1, 2, 3, 4]}),
+     ("pipeline", {"points": 11}), ("hom", {"l": 2.7}), ("hom", {"points": 10.9}),
+     ("jsa", {"grid": 16.5}), ("jsa", {"rde_l": "2"}), ("pipeline", {"l": True})],
+)
+def test_config_rejects_unknown_keys_and_non_integers(tmp_path, capsys, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    outputs = [] if command == "pipeline" else ["--out", str(out)]
+    assert run([command, "--config", str(path)] + outputs) == 2
+    assert not out.exists()
+
+
 def test_outputs_reproduce_up_to_timestamp(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
@@ -267,3 +299,34 @@ def test_outputs_reproduce_up_to_timestamp(tmp_path):
         ]
 
     assert stripped(first) == stripped(second)
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import hombeat
+        from hombeat.cli import main
+        from hombeat.dataio import read_csv
+        from hombeat.joint_spectrum import JsaGrid, peak_locations
+
+        assert not [m for m in sys.modules if m.startswith("scipy") and sys.modules[m]]
+        assert main(["hom", "--method", "numeric", "--points", "41", "--out", "hom.csv"]) == 0
+        assert main(["jsa", "--rde-l", "2", "--rde-omega", "2e12", "--grid", "64",
+                     "--out", "jsa.csv"]) == 0
+        _, columns = read_csv("jsa.csv")
+        values = columns["amplitude"].reshape(64, 64)
+        axis = columns["nu1"][::64]
+        assert len(peak_locations(JsaGrid(axis, axis.copy(), values / values.max()))) == 2
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -121,18 +121,34 @@ def test_numeric_requires_common_width():
 
 def test_numeric_failure_is_reported():
     # a delay this absurd makes the integrand oscillate far beyond what the
-    # subdivision budget can resolve
+    # panel budget can resolve
     spectra = make_shifted_spectra(TAU_C, 2, 2e12)
     with pytest.raises(QuadratureError):
         coincidence_numeric(1.0, spectra)
 
 
-def test_spectrum_normalization():
-    from scipy.integrate import trapezoid
+def test_numeric_takes_arrays():
+    taus = np.linspace(-3e-12, 3e-12, 60).reshape(3, 20)
+    for omega in (0.0, 2e12):
+        spectra = make_shifted_spectra(TAU_C, 2, omega)
+        p = coincidence_numeric(taus, spectra)
+        assert p.shape == taus.shape
+        looped = np.array([[coincidence_numeric(float(t), spectra) for t in row] for row in taus])
+        assert np.max(np.abs(p - looped)) < 1e-12
 
+
+@pytest.mark.parametrize("tau_c,omega", [(TAU_C, 2e12), (1e-6, 2e6)])
+def test_numeric_far_wing_is_half(tau_c, omega):
+    # the integrand oscillates ~1,800 times over the window at 300 tau_c
+    spectra = make_shifted_spectra(tau_c, 2, omega)
+    assert coincidence_numeric(300.0 * tau_c, spectra) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_spectrum_normalization():
     g = GaussianSpectralAmplitude(center=2e12, sigma=5e11)
     x = np.linspace(2e12 - 8e12, 2e12 + 8e12, 20001)
-    norm = trapezoid(g.amplitude(x) ** 2, x)
+    density = g.amplitude(x) ** 2
+    norm = float(np.sum(0.5 * (density[1:] + density[:-1]) * np.diff(x)))
     assert norm == pytest.approx(1.0, abs=1e-9)
 
 

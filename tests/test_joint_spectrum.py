@@ -63,11 +63,17 @@ def test_phase_match_coefficients_locked_opposite():
         PhaseMatchGaussian(gamma=0.1, a_coef=2.0, b_coef=-1.0)
     with pytest.raises(ValueError):
         PhaseMatchGaussian(gamma=-0.1, a_coef=2.0)
+    for gamma, a_coef, b_coef in [(math.inf, 2.0, None), (math.nan, 2.0, None),
+                                  (0.1, math.inf, None), (0.1, math.nan, None),
+                                  (0.1, math.inf, -math.inf), (0.1, 2.0, math.nan)]:
+        with pytest.raises(ValueError):
+            PhaseMatchGaussian(gamma=gamma, a_coef=a_coef, b_coef=b_coef)
 
 
 def test_pump_requires_positive_width():
-    with pytest.raises(ValueError):
-        PumpSpectrum(center=1e15, sigma=0.0)
+    for sigma in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PumpSpectrum(center=1e15, sigma=sigma)
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,11 +157,22 @@ def test_all_zero_grid_has_no_peaks():
     assert peak_locations(grid) == []
 
 
+def test_diagonally_touching_plateau_is_one_peak():
+    # three equal maxima in a V touch only diagonally; the right arm joins the
+    # left one through the cell below both, later in raster order
+    values = np.zeros((7, 7))
+    values[2, 2] = values[3, 3] = values[2, 4] = 1.0
+    axis = np.linspace(-3.0, 3.0, 7)
+    grid = JsaGrid(axis1=axis, axis2=axis.copy(), values=values)
+    assert peak_locations(grid) == [(-1.0, -1.0)]
+
+
 def test_grid_parameter_validation(pump, pm):
     with pytest.raises(ValueError):
         jsa_grid(pump, pm, None, 6e12, 8)
-    with pytest.raises(ValueError):
-        jsa_grid(pump, pm, None, -1.0, 64)
+    for half_width in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            jsa_grid(pump, pm, None, half_width, 64)
     with pytest.raises(ValueError):
         RdeShift(l=-1, omega_rot=1e12)
 
