@@ -77,6 +77,7 @@ DEFAULTS = {
 # phasematch also reads a custom dispersion set from the config file
 _SELLMEIER_KEYS = {"sellmeier_ordinary", "sellmeier_extraordinary", "sellmeier_provenance"}
 _INTEGER_KEYS = {"l", "rde_l", "grid", "points"}
+_STRING_KEYS = {"out", "svg", "input", "method"}
 
 
 def _preamble(command: str) -> dict:
@@ -111,9 +112,18 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     unknown = set(config) - allowed
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
-    for key in _INTEGER_KEYS & set(config):
-        if not isinstance(config[key], int) or isinstance(config[key], bool):
-            raise ValueError(f"config key {key} must be an integer, got {config[key]!r}")
+    for key in set(config) - _SELLMEIER_KEYS:
+        value = config[key]
+        if value is None and DEFAULTS[command][key] is None:
+            continue  # the built-in "not set"
+        if key in _INTEGER_KEYS:
+            kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+        elif key in _STRING_KEYS:
+            kind, ok = "a string", isinstance(value, str)
+        else:
+            kind, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not ok:
+            raise ValueError(f"config key {key} must be {kind}, got {value!r}")
     resolved = {}
     for key, default in DEFAULTS[command].items():
         flag_value = getattr(args, key, None)

@@ -136,6 +136,10 @@ def jsa_grid(
         kernel_a = np.exp(-pm.gamma * (pm.a_coef * (nu1 + tag) + pm.b_coef * (nu2 - tag)) ** 2)
         kernel_b = np.exp(-pm.gamma * (pm.a_coef * (nu1 - tag) + pm.b_coef * (nu2 + tag)) ** 2)
         values = np.maximum(kernel_a, kernel_b) * envelope
+    if not np.isfinite(values).all():
+        # e.g. sigma**2 underflowing to 0 makes the envelope 0/0 on the antidiagonal
+        raise ValueError("joint amplitude is not finite on the grid; check sigma and the "
+                         "phase-matching coefficients")
     peak = values.max()
     if peak > 0.0:
         values = values / peak

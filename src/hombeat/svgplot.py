@@ -13,6 +13,10 @@ from typing import Sequence
 import numpy as np
 
 
+# polyline points formatted per step, so a long trace never becomes one
+# list of per-point strings
+BLOCK_POINTS = 1 << 14
+
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -75,6 +79,23 @@ def _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title):
     )
 
 
+def _write_parts(fh, parts: list[str]) -> None:
+    """Write each part as one line of the document."""
+    fh.write("\n".join(parts) + "\n")
+
+
+def _write_polyline(fh, px: np.ndarray, py: np.ndarray, color: str) -> None:
+    """One polyline, its points formatted BLOCK_POINTS at a time."""
+    fh.write('<polyline points="')
+    for start in range(0, px.size, BLOCK_POINTS):
+        if start:
+            fh.write(" ")
+        stop = start + BLOCK_POINTS
+        fh.write(" ".join(map("{:.2f},{:.2f}".format, px[start:stop].tolist(),
+                              py[start:stop].tolist())))
+    fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+
+
 def line_plot(
     path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
@@ -103,49 +124,43 @@ def line_plot(
 
     parts = _svg_header(width, height)
     _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
-    for k, (label, x, y) in enumerate(series):
-        color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        good = np.isfinite(x) & np.isfinite(y)
-        # break the polyline at gaps so missing cells do not get bridged
-        segments: list[list[str]] = [[]]
-        for xi, yi, ok in zip(x, y, good):
-            if not ok:
-                if segments[-1]:
-                    segments.append([])
-                continue
-            px = x0 + (xi - xlo) / (xhi - xlo) * (x1 - x0)
-            py = y1 - (yi - ylo) / (yhi - ylo) * (y1 - y0)
-            segments[-1].append(f"{px:.2f},{py:.2f}")
-        for seg in segments:
-            if len(seg) >= 2:
-                parts.append(
-                    f'<polyline points="{" ".join(seg)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
-        if label:
-            ly = y0 + 14 + 16 * k
-            parts.append(
-                f'<line x1="{x1 - 120}" y1="{ly - 4}" x2="{x1 - 95}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{x1 - 90}" y="{ly}" font-size="11" '
-                f'font-family="sans-serif">{label}</text>'
-            )
-    parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        _write_parts(fh, parts)
+        for k, (label, x, y) in enumerate(series):
+            color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
+            x = np.asarray(x, float)
+            y = np.asarray(y, float)
+            good = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+            px = x0 + (x[good] - xlo) / (xhi - xlo) * (x1 - x0)
+            py = y1 - (y[good] - ylo) / (yhi - ylo) * (y1 - y0)
+            # break the polyline at gaps so missing cells do not get bridged
+            bounds = [0, *(np.flatnonzero(np.diff(good) > 1) + 1).tolist(), good.size]
+            for start, stop in zip(bounds, bounds[1:]):
+                if stop - start >= 2:
+                    _write_polyline(fh, px[start:stop], py[start:stop], color)
+            if label:
+                ly = y0 + 14 + 16 * k
+                _write_parts(fh, [
+                    f'<line x1="{x1 - 120}" y1="{ly - 4}" x2="{x1 - 95}" y2="{ly - 4}" '
+                    f'stroke="{color}" stroke-width="2"/>',
+                    f'<text x="{x1 - 90}" y="{ly}" font-size="11" '
+                    f'font-family="sans-serif">{label}</text>',
+                ])
+        fh.write("</svg>\n")
 
 
-def _heat_color(t: float) -> str:
-    """Black-red-yellow-white ramp for t in [0, 1]."""
-    t = min(1.0, max(0.0, t))
-    r = min(1.0, 3.0 * t)
-    g = min(1.0, max(0.0, 3.0 * t - 1.0))
-    b = min(1.0, max(0.0, 3.0 * t - 2.0))
-    return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
+def _heat_colors(t: np.ndarray) -> np.ndarray:
+    """Black-red-yellow-white ramp for t in [0, 1] as 0xRRGGBB codes; NaN is black."""
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    r = np.minimum(1.0, 3.0 * t)
+    g = np.minimum(1.0, np.maximum(0.0, 3.0 * t - 1.0))
+    b = np.minimum(1.0, np.maximum(0.0, 3.0 * t - 2.0))
+    return (
+        (255 * r).astype(np.int64) << 16
+        | (255 * g).astype(np.int64) << 8
+        | (255 * b).astype(np.int64)
+    )
 
 
 def heatmap(
@@ -170,20 +185,20 @@ def heatmap(
     ylo, yhi = float(y_axis.min()), float(y_axis.max())
     top = float(values.max()) or 1.0
 
-    parts = _svg_header(width, height)
     nx, ny = x_axis.size, y_axis.size
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
-    for i in range(nx):
-        for j in range(ny):
-            color = _heat_color(values[i, j] / top)
-            px = x0 + i * cw
-            py = y1 - (j + 1) * ch
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="{color}"/>'
-            )
-    _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
-    parts.append("</svg>")
+    codes, color_index = np.unique(_heat_colors(values / top), return_inverse=True)
+    fills = [f"#{c:06x}" for c in codes.tolist()]
+    color_index = color_index.reshape(nx, ny)
+    ys = [f"{y1 - (j + 1) * ch:.2f}" for j in range(ny)]
+    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        _write_parts(fh, _svg_header(width, height))
+        for i in range(nx):
+            rect = f'<rect x="{x0 + i * cw:.2f}" y="{{}}" {size} fill="{{}}"/>'.format
+            row = map(fills.__getitem__, color_index[i].tolist())
+            fh.write("\n".join(map(rect, ys, row)) + "\n")
+        parts: list[str] = []
+        _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
+        _write_parts(fh, parts + ["</svg>"])

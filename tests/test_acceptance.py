@@ -18,7 +18,12 @@ import hombeat as hb
 from hombeat.cli import main as cli_main
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from fixture_defs import FIXTURES, lines_without_timestamp  # noqa: E402
+from fixture_defs import (  # noqa: E402
+    FIXTURES,
+    SVG_FIXTURES,
+    lines_without_timestamp,
+    render_svg_fixture,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -246,3 +251,12 @@ def test_criterion_11_golden_fixtures_regenerate(tmp_path):
     assert elapsed < 60.0
     report(11, f"all {len(FIXTURES)} reference fixtures regenerate byte-identically "
                f"apart from the timestamp ({elapsed:.1f} s)")
+
+
+@pytest.mark.parametrize("name", sorted(SVG_FIXTURES))
+def test_svg_fixtures_regenerate_byte_identically(tmp_path, name):
+    golden = GOLDEN_DIR / name
+    assert golden.exists(), f"missing committed fixture {name}"
+    fresh = tmp_path / name
+    assert render_svg_fixture(name, fresh) == 0
+    assert fresh.read_bytes() == golden.read_bytes(), f"fixture {name} drifted"

@@ -93,6 +93,14 @@ def test_jsa_rejects_non_finite_parameters(tmp_path, flag, value):
     assert not out.exists()
 
 
+def test_jsa_rejects_underflowing_pump_width(tmp_path):
+    # sigma**2 underflows to 0, so the pump envelope is 0/0 on the antidiagonal
+    out = tmp_path / "x.csv"
+    with np.errstate(all="ignore"):
+        assert run(["jsa", "--sigma", "1e-300", "--grid", "16", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_jsa_unwritable_output_exits_3(tmp_path):
     missing_dir = tmp_path / "does" / "not" / "exist" / "jsa.csv"
     assert run(["jsa", "--grid", "16", "--out", str(missing_dir)]) == 3
@@ -282,6 +290,32 @@ def test_config_rejects_unknown_keys_and_non_integers(tmp_path, capsys, command,
     outputs = [] if command == "pipeline" else ["--out", str(out)]
     assert run([command, "--config", str(path)] + outputs) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"tau_span": [1]}, {"out": 1, "points": 3}, {"svg": 5}],
+)
+def test_config_rejects_wrong_json_types(tmp_path, config):
+    # run in a child: an integer path is a file descriptor to open(), so a
+    # regression would write to, and close, the test process's own stdout
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hombeat", "hom", "--config", str(path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert "must be a" in done.stderr
+    assert not (tmp_path / "hom.csv").exists()
+
+
+def test_config_accepts_null_where_the_default_is_unset(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"svg": None, "points": 3}))
+    out = tmp_path / "x.csv"
+    assert run(["hom", "--config", str(path), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_outputs_reproduce_up_to_timestamp(tmp_path):

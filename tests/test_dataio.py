@@ -1,9 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hombeat.dataio import format_float, read_csv, read_hom_trace, write_csv
+from hombeat.dataio import (
+    BLOCK_ROWS,
+    READ_CHARS,
+    format_float,
+    read_csv,
+    read_hom_trace,
+    write_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -101,3 +111,149 @@ def test_read_hom_trace_rejects_gaps(tmp_path):
     write_csv(path, {"tau_s": [1.0, 2.0], "p": [0.1, None]}, {})
     with pytest.raises(ValueError):
         read_hom_trace(path)
+
+
+# ---------------------------------------------------------------------------
+# block-wise fast path: same cells as format_float, same reader errors
+
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+    4.99999999999999e-5, 5e-5, 9.99999999999995e-5, 9.999999999999949e-5, 1e-4,
+    0.000999999999999999, 0.00099999999999995, 1e-3, 999999.9999995, 999999.99999949, 1e6,
+    999999999999.5, 999999999999.49, 1e12, 9.9999999999995e12, 1e13, -1.5e-4, -2.5e9,
+]
+
+
+def _written_cells(tmp_path, values):
+    """The cell text write_csv gives each value, written once as-is and once repeated."""
+    cells = []
+    for name, column in (("plain", values), ("repeated", np.repeat(values, 4))):
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, {"v": column})
+        text = path.read_text()
+        assert text.startswith("v\n") and text.endswith("\n")
+        cells.append(text[2:-1].split("\n"))
+    plain, repeated = cells
+    assert repeated == [c for c in plain for _ in range(4)]
+    return plain
+
+
+def _expected_cell(v):
+    return "" if math.isnan(v) else format_float(v)
+
+
+def test_write_edge_values_match_format_float(tmp_path):
+    assert _written_cells(tmp_path, EDGE_VALUES) == [_expected_cell(v) for v in EDGE_VALUES]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                | st.sampled_from(EDGE_VALUES).map(lambda v: v * (1 + 2**-52)),
+                min_size=1, max_size=40))
+def test_write_cells_match_format_float(tmp_path, values):
+    assert _written_cells(tmp_path, values) == [_expected_cell(v) for v in values]
+
+
+def test_none_and_nan_give_empty_cells(tmp_path):
+    path = tmp_path / "gaps.csv"
+    write_csv(path, {"a": [1.0, None, math.nan], "b": np.array([math.nan, -0.0, 2.0])})
+    assert path.read_text().splitlines()[1:] == ["1,", ",0", ",2"]
+
+
+def _padded(v):
+    return f"  {v!r}\t"
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    extra=st.sets(st.integers(0, BLOCK_ROWS + 299), max_size=25),
+    empty=st.sets(st.integers(0, 3 * (BLOCK_ROWS + 300) - 1), max_size=25),
+    padded=st.sets(st.integers(0, 3 * (BLOCK_ROWS + 300) - 1), max_size=25),
+)
+def test_read_round_trips_long_documents(tmp_path, extra, empty, padded):
+    """Blank and comment lines between rows, padded and empty cells, across blocks."""
+    n = BLOCK_ROWS + 300
+    values = np.random.default_rng(len(extra)).normal(size=(n, 3)) * 1e-7
+    expected = values.copy()
+    lines = ["# tool=test", "", "a, b ,c"]
+    rows = values.tolist()
+    for i in range(n):
+        if i in extra:
+            lines += ["", "   ", f"# row{i} = {i}", "#no value here"]
+        cells = []
+        for j in range(3):
+            k = 3 * i + j
+            if k in empty:
+                expected[i, j] = math.nan
+                cells.append(" " if k in padded else "")
+            else:
+                cells.append(_padded(rows[i][j]) if k in padded else repr(rows[i][j]))
+        lines.append(",".join(cells))
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert path.stat().st_size > READ_CHARS
+    meta, columns = read_csv(path)
+    assert meta == {"tool": "test", **{f"row{i}": str(i) for i in extra}}
+    assert list(columns) == ["a", "b", "c"]
+    got = np.column_stack([columns["a"], columns["b"], columns["c"]])
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [("1.0", "row has 1 cells, expected 2"), ("1.0,2.0,3.0", "row has 3 cells, expected 2"),
+     ("1.0, spam", "bad numeric cell 'spam'"), ("1.0,#2", "bad numeric cell '#2'")],
+)
+def test_bad_row_in_second_block_keeps_its_error(tmp_path, bad, message):
+    n = READ_CHARS // 16
+    rows = [f"{i}.125,{i}.5" for i in range(n)]  # 16 or more characters a line
+    rows[n - 9] = bad
+    rows[n - 7] = "1.0"  # a later fault must not be the one reported
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"malformed CSV: {message}"):
+        read_csv(path)
+
+
+def test_empty_cell_in_one_block_leaves_the_others_intact(tmp_path):
+    n = READ_CHARS // 8
+    x = np.arange(n, dtype=float)
+    y = x / 7.0
+    y[n // 2] = math.nan
+    path = tmp_path / "doc.csv"
+    write_csv(path, {"x": x, "y": y})
+    assert path.stat().st_size > 2 * READ_CHARS
+    _, columns = read_csv(path)
+    np.testing.assert_array_equal(columns["x"], x)
+    np.testing.assert_allclose(columns["y"], y, rtol=1e-11)
+    assert np.isnan(columns["y"]).sum() == 1
+
+
+# ---------------------------------------------------------------------------
+# memory guards: block-wise text must not grow with the whole document
+
+
+def _traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def _jsa_shaped(n):
+    axis = np.linspace(-6e12, 6e12, n) + 2.3e15
+    d = np.subtract.outer(axis, axis[::-1])
+    amplitude = np.exp(-(d / 3e12) ** 2)
+    return {"nu1": np.repeat(axis, n), "nu2": np.tile(axis, n), "amplitude": amplitude.ravel()}
+
+
+def test_write_and_read_memory_stays_bounded(tmp_path):
+    path = tmp_path / "jsa.csv"
+    columns = _jsa_shaped(512)
+    assert _traced_peak_mb(lambda: write_csv(path, columns, {"grid": 512})) <= 16.0
+    del columns
+    assert _traced_peak_mb(lambda: read_csv(path)) <= 32.0
