@@ -276,11 +276,12 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     o_curve, e_curve = emission_curves(cfg, (f_min, f_max), points)
     crossing = find_intersection(o_curve, e_curve)
 
-    freqs = frequency_grid(f_min, f_max, points)
-    o_map = dict(o_curve.samples)
-    e_map = dict(e_curve.samples)
-    angle_o = [o_map.get(f) for f in freqs]
-    angle_e = [e_map.get(f) for f in freqs]
+    freqs = np.array(frequency_grid(f_min, f_max, points))
+    # one column per ray, NaN (an empty cell, a gap in the plot) where unsolved
+    angle_o, angle_e = np.full((2, points), np.nan)
+    for angles, curve in ((angle_o, o_curve), (angle_e, e_curve)):
+        f, a = np.array(curve.samples, dtype=float).reshape(-1, 2).T
+        angles[np.searchsorted(freqs, f)] = a
     meta = {
         **_preamble("phasematch"),
         "cut_angle_deg": cfg.cut_angle_deg,
@@ -304,11 +305,9 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
         meta,
     )
     if p["svg"]:
-        o_y = np.array([math.nan if a is None else a for a in angle_o])
-        e_y = np.array([math.nan if a is None else a for a in angle_e])
         svgplot.line_plot(
             p["svg"],
-            [("ordinary", freqs, o_y), ("extraordinary", freqs, e_y)],
+            [("ordinary", freqs, angle_o), ("extraordinary", freqs, angle_e)],
             title=f"emission angles, cut {cfg.cut_angle_deg} deg",
             xlabel="signal frequency (THz)",
             ylabel="outside angle (deg)",

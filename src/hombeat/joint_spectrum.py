@@ -126,16 +126,17 @@ def jsa_grid(
     axis = np.linspace(-half_width, half_width, n)
     nu1 = axis[:, None]
     nu2 = axis[None, :]
-    if shift is None or shift.l == 0:
-        values = jsa_value(nu1, nu2, pump, pm)
-    else:
-        tag = shift.l * shift.omega_rot
-        # the pump envelope acts on nu1 + nu2, untouched by the opposite shifts,
-        # so taking the larger branch magnitude commutes with applying it
-        envelope = np.exp(-((nu1 + nu2) ** 2) / (2.0 * pump.sigma**2))
-        kernel_a = np.exp(-pm.gamma * (pm.a_coef * (nu1 + tag) + pm.b_coef * (nu2 - tag)) ** 2)
-        kernel_b = np.exp(-pm.gamma * (pm.a_coef * (nu1 - tag) + pm.b_coef * (nu2 + tag)) ** 2)
-        values = np.maximum(kernel_a, kernel_b) * envelope
+    with np.errstate(all="ignore"):  # the finiteness check below reports overflow and 0/0
+        if shift is None or shift.l == 0:
+            values = jsa_value(nu1, nu2, pump, pm)
+        else:
+            tag = shift.l * shift.omega_rot
+            # the pump envelope acts on nu1 + nu2, untouched by the opposite shifts,
+            # so taking the larger branch magnitude commutes with applying it
+            envelope = np.exp(-((nu1 + nu2) ** 2) / (2.0 * pump.sigma**2))
+            kernel_a = np.exp(-pm.gamma * (pm.a_coef * (nu1 + tag) + pm.b_coef * (nu2 - tag)) ** 2)
+            kernel_b = np.exp(-pm.gamma * (pm.a_coef * (nu1 - tag) + pm.b_coef * (nu2 + tag)) ** 2)
+            values = np.maximum(kernel_a, kernel_b) * envelope
     if not np.isfinite(values).all():
         # e.g. sigma**2 underflowing to 0 makes the envelope 0/0 on the antidiagonal
         raise ValueError("joint amplitude is not finite on the grid; check sigma and the "

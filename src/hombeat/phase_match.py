@@ -2,10 +2,10 @@
 
 Dispersion comes from a published Sellmeier set of the form
 ``n^2 = a + b / (lam^2 - c) - d * lam^2`` with the wavelength in micrometers.
-The pump propagates extraordinary-polarized at the cut angle; each sampled
-signal frequency is solved for the internal emission angle that satisfies
-both components of momentum conservation, then converted to the external
-angle by Snell refraction at a plane exit face normal to the pump.
+The pump propagates extraordinary-polarized at the cut angle; all sampled
+signal frequencies are solved as one array for the internal emission angle
+that satisfies both components of momentum conservation, then converted to
+the external angle by Snell refraction at a plane exit face normal to the pump.
 
 Geometry convention (single azimuth, in the plane of the optic axis): the
 ordinarily polarized photon of a pair leaves on the side of the pump away
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT_UM_THZ = 299.792458  # c as um * THz
 
 # Supported wavelength window for the shipped dispersion data, micrometers.
@@ -29,6 +31,9 @@ WAVELENGTH_WINDOW_UM = (0.3, 1.5)
 _MAX_INTERNAL_ANGLE_RAD = math.radians(10.0)
 _BISECTION_TOL_RAD = 1e-10
 _COARSE_SCAN_STEPS = 128
+_SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _COARSE_SCAN_STEPS
+# Frequencies scanned per step: bounds the scan's memory at any number of points.
+_BLOCK_ROWS = 256
 
 
 class NoSolutionError(RuntimeError):
@@ -41,12 +46,29 @@ class SellmeierSet:
 
     Each coefficient tuple is ``(a, b, c, d)`` in
     ``n^2 = a + b / (lam^2 - c) - d * lam^2`` with ``lam`` in micrometers.
-    ``provenance`` names the published source of the numbers.
+    ``provenance`` names the published source of the numbers.  A set must
+    give a real index across the whole wavelength window: finite
+    coefficients, no pole and ``n^2 > 0``.
     """
 
     ordinary: tuple[float, float, float, float]
     extraordinary: tuple[float, float, float, float]
     provenance: str
+
+    def __post_init__(self):
+        lo, hi = (lam * lam for lam in WAVELENGTH_WINDOW_UM)
+        for name, (a, b, c, d) in (("ordinary", self.ordinary),
+                                   ("extraordinary", self.extraordinary)):
+            if not all(math.isfinite(v) for v in (a, b, c, d)):
+                raise ValueError(f"{name} Sellmeier coefficients must be finite")
+            if lo <= c <= hi:
+                raise ValueError(f"{name} Sellmeier set has a pole at {math.sqrt(c):.4g} um")
+            # in x = lam^2, n^2 is extreme only at the window ends and where
+            # (x - c)^2 = -b / d, so checking those points is exact
+            root = math.sqrt(-b / d) if b * d < 0.0 else math.inf
+            xs = [x for x in (lo, hi, c - root, c + root) if lo <= x <= hi]
+            if min(a + b / (x - c) - d * x for x in xs) <= 0.0:
+                raise ValueError(f"{name} Sellmeier set gives n^2 <= 0 in the wavelength window")
 
 
 BBO_EIMERL_1987 = SellmeierSet(
@@ -111,26 +133,36 @@ def wavelength_um(frequency_thz: float) -> float:
 def _check_window(lam_um: float) -> None:
     lo, hi = WAVELENGTH_WINDOW_UM
     if not lo <= lam_um <= hi:
-        raise ValueError(
-            f"wavelength {lam_um:.4f} um outside the supported window [{lo}, {hi}] um"
-        )
+        raise ValueError(f"wavelength {lam_um:.4f} um outside the supported window [{lo}, {hi}] um")
 
 
-def _index_from_coefficients(coef: tuple[float, float, float, float], lam_um: float) -> float:
+def _sellmeier_index(coef: tuple[float, float, float, float], lam_um):
+    """Index from one coefficient set; NaN outside the wavelength window."""
     a, b, c, d = coef
-    return math.sqrt(a + b / (lam_um * lam_um - c) - d * lam_um * lam_um)
+    lo, hi = WAVELENGTH_WINDOW_UM
+    n = np.sqrt(a + b / (lam_um * lam_um - c) - d * lam_um * lam_um)
+    return np.where((lo <= lam_um) & (lam_um <= hi), n, np.nan)
+
+
+def _extraordinary_index(sellmeier: SellmeierSet, lam_um, theta_rad):
+    """Index-ellipsoid index at theta_rad from the optic axis; NaN off the window or [0, pi/2]."""
+    no = _sellmeier_index(sellmeier.ordinary, lam_um)
+    ne = _sellmeier_index(sellmeier.extraordinary, lam_um)
+    n = 1.0 / np.sqrt((np.cos(theta_rad) / no) ** 2 + (np.sin(theta_rad) / ne) ** 2)
+    n = np.where(theta_rad == 0.0, no, np.where(theta_rad == math.pi / 2.0, ne, n))
+    return np.where((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0), n, np.nan)
 
 
 def n_ordinary(lam_um: float, sellmeier: SellmeierSet = BBO_EIMERL_1987) -> float:
     """Ordinary refractive index at a wavelength inside the supported window."""
     _check_window(lam_um)
-    return _index_from_coefficients(sellmeier.ordinary, lam_um)
+    return float(_sellmeier_index(sellmeier.ordinary, lam_um))
 
 
 def n_principal_extraordinary(lam_um: float, sellmeier: SellmeierSet = BBO_EIMERL_1987) -> float:
     """Extraordinary index for propagation perpendicular to the optic axis."""
     _check_window(lam_um)
-    return _index_from_coefficients(sellmeier.extraordinary, lam_um)
+    return float(_sellmeier_index(sellmeier.extraordinary, lam_um))
 
 
 def n_extraordinary(
@@ -144,56 +176,88 @@ def n_extraordinary(
     """
     if not 0.0 <= theta_rad <= math.pi / 2.0:
         raise ValueError("theta must lie in [0, pi/2]")
-    if theta_rad == 0.0:
-        return n_ordinary(lam_um, sellmeier)
-    if theta_rad == math.pi / 2.0:
-        return n_principal_extraordinary(lam_um, sellmeier)
-    no = n_ordinary(lam_um, sellmeier)
-    ne = n_principal_extraordinary(lam_um, sellmeier)
-    ct = math.cos(theta_rad)
-    st = math.sin(theta_rad)
-    return 1.0 / math.sqrt((ct / no) ** 2 + (st / ne) ** 2)
+    _check_window(lam_um)
+    return float(_extraordinary_index(sellmeier, lam_um, theta_rad))
+
+
+def _index(cfg: CrystalConfig, f_thz, extraordinary: bool, theta):
+    """Index of one photon: extraordinary at ``cut + theta`` from the optic axis, or ordinary."""
+    lam = wavelength_um(f_thz)
+    if extraordinary:
+        return _extraordinary_index(cfg.sellmeier, lam, math.radians(cfg.cut_angle_deg) + theta)
+    return _sellmeier_index(cfg.sellmeier.ordinary, lam)
 
 
 def _pump_wavenumber(cfg: CrystalConfig) -> float:
     """Pump wave number in index*THz units (the common 2*pi/c factor cancels)."""
-    lam_p = wavelength_um(cfg.pump_frequency_thz)
-    n_p = n_extraordinary(lam_p, math.radians(cfg.cut_angle_deg), cfg.sellmeier)
-    return n_p * cfg.pump_frequency_thz
+    return float(_index(cfg, cfg.pump_frequency_thz, True, 0.0)) * cfg.pump_frequency_thz
 
 
-def _index(cfg: CrystalConfig, f_thz: float, extraordinary: bool, theta: float) -> float:
-    """Index of one photon: extraordinary at ``cut + theta`` from the optic axis, or ordinary."""
-    lam = wavelength_um(f_thz)
-    if extraordinary:
-        return n_extraordinary(lam, math.radians(cfg.cut_angle_deg) + theta, cfg.sellmeier)
-    return n_ordinary(lam, cfg.sellmeier)
+def _kinematics(cfg: CrystalConfig, k_p: float, f_signal, extraordinary: bool, theta_s):
+    """Signal index, idler internal angle and idler shell mismatch; broadcasts.
 
-
-def _idler_wavevector(
-    cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_s: float
-) -> tuple[float, float, float]:
-    """Signal index, then the idler's transverse and longitudinal wave number that
-    momentum conservation requires."""
-    n_s = _index(cfg, f_signal, signal_ray != "ordinary", theta_s)
-    k_s = n_s * f_signal
-    return n_s, k_s * math.sin(theta_s), _pump_wavenumber(cfg) - k_s * math.cos(theta_s)
-
-
-def _shell_mismatch(cfg: CrystalConfig, f_signal: float, signal_ray: str, theta_s: float) -> float:
-    """Idler dispersion-shell mismatch for a trial signal emission angle.
-
-    The signal is placed on its own dispersion shell at ``theta_s``; the
-    idler wave vector is whatever momentum conservation then requires.  The
-    returned value is the difference between that required wave number and
-    the one the idler's dispersion allows at the resulting angle; a root
-    means both photons sit on shell with momentum exactly conserved.
+    With the signal on its shell at ``theta_s``, momentum conservation fixes
+    the idler wave vector; the mismatch is its length minus the idler's shell
+    wave number at its angle, so a root puts both photons on shell.  NaN
+    marks a wavelength or angle outside the dispersion data.
     """
     f_idler = cfg.pump_frequency_thz - f_signal
-    _, k_i_trans, k_i_long = _idler_wavevector(cfg, f_signal, signal_ray, theta_s)
-    theta_i = math.atan2(k_i_trans, k_i_long)
-    n_i = _index(cfg, f_idler, signal_ray == "ordinary", theta_i)
-    return math.hypot(k_i_trans, k_i_long) - n_i * f_idler
+    n_s = _index(cfg, f_signal, extraordinary, theta_s)
+    k_s = n_s * f_signal
+    k_i_trans = k_s * np.sin(theta_s)
+    k_i_long = k_p - k_s * np.cos(theta_s)
+    theta_i = np.arctan2(k_i_trans, k_i_long)
+    n_i = _index(cfg, f_idler, not extraordinary, theta_i)
+    return n_s, theta_i, np.hypot(k_i_trans, k_i_long) - n_i * f_idler
+
+
+def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
+    """Signal angle, idler angle (rad) and outside angle (deg) per frequency, NaN if unsolved.
+
+    A row brackets at the first scan step whose previous mismatch is zero or
+    changes sign; a NaN up to that step, or met while bisecting, leaves it unsolved.
+    """
+    v = _kinematics(cfg, k_p, f[:, None], extraordinary, _SCAN_ANGLES)[2]
+    prev = v[:, :-1]
+    closes = (prev == 0.0) | (prev * v[:, 1:] < 0.0)
+    step = closes.argmax(axis=1)
+    nan_so_far = np.logical_or.accumulate(np.isnan(v), axis=1)
+    live = np.flatnonzero(closes.any(axis=1) & ~nan_so_far[np.arange(f.size), step + 1]
+                          & (cfg.pump_frequency_thz - f > 0.0))
+    step, f = step[live], f[live]
+    fa = prev[live, step]
+    a = _SCAN_ANGLES[step]
+    b = np.where(fa == 0.0, a, _SCAN_ANGLES[step + 1])
+    ok = np.ones(live.size, dtype=bool)
+    while (rows := np.flatnonzero(b - a > _BISECTION_TOL_RAD)).size:
+        m = 0.5 * (a[rows] + b[rows])
+        fm = _kinematics(cfg, k_p, f[rows], extraordinary, m)[2]
+        ok[rows] &= ~np.isnan(fm)
+        lower = fa[rows] * fm <= 0.0
+        b[rows] = np.where(lower, m, b[rows])
+        a[rows] = np.where(lower, a[rows], m)
+        fa[rows] = np.where(lower, fa[rows], fm)
+    theta_s = 0.5 * (a + b)
+    n_s, theta_i, _ = _kinematics(cfg, k_p, f, extraordinary, theta_s)
+    sin_out = n_s * np.sin(theta_s)
+    ok &= np.abs(sin_out) <= 1.0  # total internal reflection at the exit face; NaN fails too
+    out = np.full((3, v.shape[0]), np.nan)
+    out[:, live[ok]] = theta_s[ok], theta_i[ok], np.degrees(np.arcsin(sin_out[ok]))
+    return out
+
+
+def _solve(cfg: CrystalConfig, f_signal: np.ndarray, signal_ray: str) -> np.ndarray:
+    """The emission geometry of every frequency, in blocks of ``_BLOCK_ROWS`` rows."""
+    if signal_ray not in ("ordinary", "extraordinary"):
+        raise ValueError("signal_ray must be 'ordinary' or 'extraordinary'")
+    extraordinary = signal_ray == "extraordinary"
+    out = np.empty((3, f_signal.size))
+    with np.errstate(all="ignore"):  # out-of-window points become NaN and count as unsolved
+        k_p = _pump_wavenumber(cfg)
+        for lo in range(0, f_signal.size, _BLOCK_ROWS):
+            block = f_signal[lo : lo + _BLOCK_ROWS]
+            out[:, lo : lo + block.size] = _solve_block(cfg, k_p, block, extraordinary)
+    return out
 
 
 def solve_emission_point(
@@ -201,54 +265,14 @@ def solve_emission_point(
 ) -> EmissionPoint | None:
     """Solve one signal frequency; None when no real geometry exists.
 
-    Brackets the single sign change of the shell mismatch over internal
-    angles in [0, 10] degrees, then bisects to 1e-10 rad.
+    The one-element case of the array solve that :func:`emission_curves`
+    uses: a 128-step scan of internal angles in [0, 10] degrees for the
+    first sign change of the shell mismatch, then bisection to 1e-10 rad.
     """
-    if signal_ray not in ("ordinary", "extraordinary"):
-        raise ValueError("signal_ray must be 'ordinary' or 'extraordinary'")
-    f_idler = cfg.pump_frequency_thz - f_signal_thz
-    if f_idler <= 0.0:
+    theta_s, theta_i, outside = _solve(cfg, np.array([float(f_signal_thz)]), signal_ray)[:, 0]
+    if math.isnan(outside):
         return None
-    try:
-        mism = lambda t: _shell_mismatch(cfg, f_signal_thz, signal_ray, t)
-        lo, hi = 0.0, _MAX_INTERNAL_ANGLE_RAD
-        prev_t, prev_v = lo, mism(lo)
-        bracket = None
-        for j in range(1, _COARSE_SCAN_STEPS + 1):
-            t = hi * j / _COARSE_SCAN_STEPS
-            v = mism(t)
-            if prev_v == 0.0:
-                bracket = (prev_t, prev_t)
-                break
-            if prev_v * v < 0.0:
-                bracket = (prev_t, t)
-                break
-            prev_t, prev_v = t, v
-        if bracket is None:
-            return None
-        a, b = bracket
-        fa = mism(a)
-        while b - a > _BISECTION_TOL_RAD:
-            m = 0.5 * (a + b)
-            fm = mism(m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        theta_s = 0.5 * (a + b)
-        n_s, k_i_trans, k_i_long = _idler_wavevector(cfg, f_signal_thz, signal_ray, theta_s)
-        sin_out = n_s * math.sin(theta_s)
-        if abs(sin_out) > 1.0:
-            return None
-        return EmissionPoint(
-            signal_frequency_thz=f_signal_thz,
-            signal_internal_angle_rad=theta_s,
-            idler_internal_angle_rad=math.atan2(k_i_trans, k_i_long),
-            outside_angle_deg=math.degrees(math.asin(sin_out)),
-        )
-    except ValueError:
-        # wavelength left the dispersion window; treat as unsolvable
-        return None
+    return EmissionPoint(f_signal_thz, float(theta_s), float(theta_i), float(outside))
 
 
 def momentum_residuals(
@@ -262,8 +286,8 @@ def momentum_residuals(
     f_s = point.signal_frequency_thz
     f_i = cfg.pump_frequency_thz - f_s
     ts, ti = point.signal_internal_angle_rad, point.idler_internal_angle_rad
-    k_s = _index(cfg, f_s, signal_ray != "ordinary", ts) * f_s
-    k_i = _index(cfg, f_i, signal_ray == "ordinary", ti) * f_i
+    k_s = float(_index(cfg, f_s, signal_ray != "ordinary", ts)) * f_s
+    k_i = float(_index(cfg, f_i, signal_ray == "ordinary", ti)) * f_i
     k_p = _pump_wavenumber(cfg)
     trans = k_s * math.sin(ts) - k_i * math.sin(ti)
     longi = k_p - k_s * math.cos(ts) - k_i * math.cos(ti)
@@ -282,7 +306,8 @@ def emission_curves(
 ) -> tuple[EmissionCurve, EmissionCurve]:
     """Sample both emission curves on a shared frequency grid.
 
-    Returns the ordinary-signal curve and the extraordinary-signal curve.
+    Returns the ordinary-signal curve and the extraordinary-signal curve,
+    each solved as one array by the rule of :func:`solve_emission_point`.
     Frequencies with no real solution are omitted from the curve and counted
     in ``n_unsolved``.  Raises :class:`NoSolutionError` when not a single
     point of either curve is solvable.
@@ -291,18 +316,13 @@ def emission_curves(
     pump = cfg.pump_frequency_thz
     if not (pump / 4.0 <= lo < hi <= 3.0 * pump / 4.0):
         raise ValueError("frequency range must lie inside [pump/4, 3*pump/4]")
-    freqs = frequency_grid(lo, hi, n_points)
+    freqs = np.array(frequency_grid(lo, hi, n_points))
     curves = []
     for ray in ("ordinary", "extraordinary"):
-        samples = []
-        failed = 0
-        for f in freqs:
-            point = solve_emission_point(cfg, f, ray)
-            if point is None:
-                failed += 1
-            else:
-                samples.append((f, point.outside_angle_deg))
-        curves.append(EmissionCurve(ray=ray, samples=tuple(samples), n_unsolved=failed))
+        outside = _solve(cfg, freqs, ray)[2]
+        solved = ~np.isnan(outside)
+        samples = tuple(zip(freqs[solved].tolist(), outside[solved].tolist()))
+        curves.append(EmissionCurve(ray, samples, n_unsolved=int(n_points - solved.sum())))
     o_curve, e_curve = curves
     if not o_curve.samples and not e_curve.samples:
         raise NoSolutionError(
@@ -312,20 +332,19 @@ def emission_curves(
     return o_curve, e_curve
 
 
-_INTERSECTION_TOL_DEG = 1e-6
 _FREQ_MATCH_TOL_THZ = 1e-9
 
 
 def find_intersection(o_curve: EmissionCurve, e_curve: EmissionCurve) -> IntersectionResult:
     """Locate the crossing of the two sampled curves, if any.
 
-    Scans the angle difference at shared frequencies for a sign change and
-    refines it by bisection on the piecewise-linear interpolants until the
-    interpolated angle difference drops below 1e-6 degrees.  Absence of a
-    crossing is encoded in the result, not raised.
+    Scans the angle difference at shared frequencies for the first sign
+    change and returns the exact crossing of the two piecewise-linear
+    interpolants on that interval; ``residual_deg`` is their computed
+    angle difference there.  Absence of a crossing is encoded in the
+    result, not raised.
     """
-    o_map = list(o_curve.samples)
-    e_map = list(e_curve.samples)
+    o_map, e_map = o_curve.samples, e_curve.samples
     common: list[tuple[float, float, float]] = []
     i = j = 0
     while i < len(o_map) and j < len(e_map):
@@ -339,36 +358,16 @@ def find_intersection(o_curve: EmissionCurve, e_curve: EmissionCurve) -> Interse
             i += 1
         else:
             j += 1
-    if len(common) < 2:
-        return IntersectionResult(exists=False)
 
     for (f1, o1, e1), (f2, o2, e2) in zip(common, common[1:]):
-        d1 = o1 - e1
-        d2 = o2 - e2
+        d1, d2 = o1 - e1, o2 - e2
         if d1 == 0.0:
             return IntersectionResult(True, f1, 0.5 * (o1 + e1), 0.0)
-        if d1 * d2 >= 0.0:
-            continue
-
-        def diff(f: float) -> tuple[float, float]:
-            t = (f - f1) / (f2 - f1)
+        if d1 * d2 < 0.0:
+            t = d1 / (d1 - d2)
             o = o1 + t * (o2 - o1)
             e = e1 + t * (e2 - e1)
-            return o - e, 0.5 * (o + e)
-
-        a, b = f1, f2
-        da = d1
-        mid, dm, angle = a, da, o1
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            dm, angle = diff(mid)
-            if abs(dm) < _INTERSECTION_TOL_DEG:
-                break
-            if da * dm <= 0.0:
-                b = mid
-            else:
-                a, da = mid, dm
-        return IntersectionResult(True, mid, angle, abs(dm))
+            return IntersectionResult(True, f1 + t * (f2 - f1), 0.5 * (o + e), abs(o - e))
     return IntersectionResult(exists=False)
 
 

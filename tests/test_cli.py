@@ -214,6 +214,40 @@ def test_phasematch_custom_sellmeier_via_config(tmp_path):
     assert float(meta["intersection_thz"]) == pytest.approx(370.44, abs=2.0)
 
 
+@pytest.mark.parametrize(
+    "extraordinary",
+    [[2.3753, 0.01224, 1.44, 0.01516],  # pole at 1.2 um, outside the scanned band
+     [2.3753, 0.01224, 0.81, 0.01516],  # pole at 0.9 um
+     ["nan", 0.01224, 0.01667, 0.01516]],
+)
+def test_phasematch_rejects_sellmeier_set_without_real_index(tmp_path, capsys, extraordinary):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sellmeier_ordinary": [2.7359, 0.01878, 0.01822, 0.01354],
+                                  "sellmeier_extraordinary": extraordinary}))
+    out = tmp_path / "pm.csv"
+    code = run(["phasematch", "--cut-angle", "45", "--points", "51",
+                "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert "Sellmeier" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,code,stderr",
+    [(["jsa", "--sigma", "1e-300", "--grid", "16"], 2, "error: joint amplitude is not finite"),
+     (["phasematch", "--cut-angle", "41", "--points", "201"], 0, ""),
+     (["phasematch", "--cut-angle", "85"], 3, "numerical failure: no emission geometry")],
+)
+def test_no_numpy_warnings_on_stderr(tmp_path, argv, code, stderr):
+    env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "hombeat", *argv, "--out", "out.csv"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    # the whole of stderr: one line naming the failure, or nothing on success
+    assert done.stderr.startswith(stderr)
+    assert done.stderr.count("\n") == (1 if stderr else 0), done.stderr
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

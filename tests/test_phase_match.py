@@ -1,14 +1,21 @@
 import math
+import pathlib
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hombeat import phase_match
 from hombeat.phase_match import (
     BBO_EIMERL_1987,
     CrystalConfig,
     EmissionCurve,
+    IntersectionResult,
     NoSolutionError,
+    SellmeierSet,
     bandwidth_error,
     emission_curves,
     find_intersection,
@@ -19,6 +26,9 @@ from hombeat.phase_match import (
     solve_emission_point,
     wavelength_um,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import scalar_phase_match  # noqa: E402
 
 # Frozen from the published coefficient set, evaluated independently with
 # 30-digit arithmetic.
@@ -95,6 +105,35 @@ def test_wavelength_conversion():
     assert wavelength_um(370.44) == pytest.approx(0.80928, abs=1e-4)
 
 
+KATO_1986 = ((2.7359, 0.01878, 0.01822, 0.01354), (2.3753, 0.01224, 0.01667, 0.01516))
+
+
+def test_published_sellmeier_sets_load():
+    assert SellmeierSet(*KATO_1986, provenance="Kato 1986").ordinary == KATO_1986[0]
+    assert BBO_EIMERL_1987.extraordinary == (2.3730, 0.0128, 0.0156, 0.0044)
+
+
+@pytest.mark.parametrize(
+    "extraordinary",
+    [
+        (2.3753, 0.01224, 1.44, 0.01516),  # pole at 1.2 um
+        (2.3753, 0.01224, 0.81, 0.01516),  # pole at 0.9 um
+        (2.3753, math.nan, 0.01667, 0.01516),
+        (2.3753, 0.01224, 0.01667, math.inf),
+        (0.5, 0.01224, 0.01667, 0.5),  # n^2 < 0 at the long end of the window
+        # n^2 = a + 1/lam^2 + lam^2 dips to a + 2 at lam = 1 um, positive at both ends
+        (-2.05, 1.0, 0.0, -1.0),
+    ],
+)
+def test_sellmeier_set_without_a_real_index_rejected(extraordinary):
+    with pytest.raises(ValueError):
+        SellmeierSet(KATO_1986[0], extraordinary, provenance="bad")
+
+
+def test_sellmeier_interior_minimum_above_zero_accepted():
+    SellmeierSet(KATO_1986[0], (-1.9, 1.0, 0.0, -1.0), provenance="dips to n^2 = 0.1")
+
+
 # ---------------------------------------------------------------------------
 # emission curves
 
@@ -161,6 +200,61 @@ def test_unsolved_points_are_counted():
     assert o_curve.n_unsolved > 0
     assert e_curve.n_unsolved > 0
     assert len(o_curve.samples) + o_curve.n_unsolved == 201
+
+
+def test_array_solve_matches_scalar_reference(monkeypatch):
+    # small blocks, so each call spans several blocks and a ragged last one
+    monkeypatch.setattr(phase_match, "_BLOCK_ROWS", 7)
+    rng = np.random.default_rng(20250601)
+    cuts = [41.0, 60.0, 85.0, 89.0, *rng.uniform(40.0, 50.0, 4).tolist()]
+    solved = unsolved = 0
+    for cut in cuts:
+        cfg = config(cut)
+        for lo, hi in (WINDOW, (200.0, 540.0)):
+            freqs = np.concatenate([[lo, hi], rng.uniform(lo, hi, 18)])
+            for ray in ("ordinary", "extraordinary"):
+                got = phase_match._solve(cfg, freqs, ray)
+                for f, row in zip(freqs.tolist(), got.T):
+                    want = scalar_phase_match.solve(cfg, f, ray)
+                    if want is None:
+                        assert np.isnan(row).all(), (cut, f, ray)
+                        unsolved += 1
+                    else:
+                        assert [f"{v:.12g}" for v in row] == [f"{v:.12g}" for v in want]
+                        solved += 1
+    assert solved > 100 and unsolved > 100
+
+
+def test_solve_emission_point_is_the_one_element_array_solve():
+    cfg = config(47.3)
+    for ray in ("ordinary", "extraordinary"):
+        point = solve_emission_point(cfg, 352.5, ray)
+        got = (point.signal_internal_angle_rad, point.idler_internal_angle_rad,
+               point.outside_angle_deg)
+        want = scalar_phase_match.solve(cfg, 352.5, ray)
+        assert [f"{v:.12g}" for v in got] == [f"{v:.12g}" for v in want]
+    assert solve_emission_point(config(89.0), 370.0, "ordinary") is None
+    assert solve_emission_point(cfg, PUMP_THZ, "ordinary") is None  # no idler photon
+    with pytest.raises(ValueError):
+        solve_emission_point(cfg, 370.0, "circular")
+
+
+def test_emission_curves_memory_bounded_by_blocks():
+    tracemalloc.start()
+    try:
+        o_curve, e_curve = emission_curves(config(45.0), WINDOW, 20001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(o_curve.samples) == len(e_curve.samples) == 20001
+    assert peak <= 16 * 2**20
+
+
+def test_find_intersection_is_the_exact_crossing_of_the_interpolants():
+    # the difference goes -1 -> +3 over [10, 11]: the lines meet a quarter of the way
+    o = EmissionCurve(ray="ordinary", samples=((10.0, 1.0), (11.0, 3.0), (12.0, 4.0)))
+    e = EmissionCurve(ray="extraordinary", samples=((10.0, 2.0), (11.0, 0.0), (12.0, 1.0)))
+    assert find_intersection(o, e) == IntersectionResult(True, 10.25, 1.5, 0.0)
 
 
 def test_find_intersection_without_common_points():
