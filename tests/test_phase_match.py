@@ -108,30 +108,25 @@ def test_wavelength_conversion():
 KATO_1986 = ((2.7359, 0.01878, 0.01822, 0.01354), (2.3753, 0.01224, 0.01667, 0.01516))
 
 
-def test_published_sellmeier_sets_load():
+def test_sellmeier_sets_with_a_real_index_load():
     assert SellmeierSet(*KATO_1986, provenance="Kato 1986").ordinary == KATO_1986[0]
     assert BBO_EIMERL_1987.extraordinary == (2.3730, 0.0128, 0.0156, 0.0044)
+    # n^2 = a + 1/lam^2 + lam^2 dips to a + 2 at lam = 1 um: 0.1 here
+    SellmeierSet(KATO_1986[0], (-1.9, 1.0, 0.0, -1.0), provenance="interior minimum")
 
 
+# poles and NaN coefficients are covered through the CLI in test_cli.py
 @pytest.mark.parametrize(
     "extraordinary",
     [
-        (2.3753, 0.01224, 1.44, 0.01516),  # pole at 1.2 um
-        (2.3753, 0.01224, 0.81, 0.01516),  # pole at 0.9 um
-        (2.3753, math.nan, 0.01667, 0.01516),
         (2.3753, 0.01224, 0.01667, math.inf),
         (0.5, 0.01224, 0.01667, 0.5),  # n^2 < 0 at the long end of the window
-        # n^2 = a + 1/lam^2 + lam^2 dips to a + 2 at lam = 1 um, positive at both ends
-        (-2.05, 1.0, 0.0, -1.0),
+        (-2.05, 1.0, 0.0, -1.0),  # n^2 > 0 at both ends, -0.05 at lam = 1 um
     ],
 )
 def test_sellmeier_set_without_a_real_index_rejected(extraordinary):
     with pytest.raises(ValueError):
         SellmeierSet(KATO_1986[0], extraordinary, provenance="bad")
-
-
-def test_sellmeier_interior_minimum_above_zero_accepted():
-    SellmeierSet(KATO_1986[0], (-1.9, 1.0, 0.0, -1.0), provenance="dips to n^2 = 0.1")
 
 
 # ---------------------------------------------------------------------------
