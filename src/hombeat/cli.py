@@ -105,6 +105,11 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve(args: argparse.Namespace, command: str) -> dict:
     """Layer values: explicit flag > config file > built-in default."""
     config = _load_config(getattr(args, "config", None))
@@ -121,7 +126,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
         elif key in _STRING_KEYS:
             kind, ok = "a string", isinstance(value, str)
         else:
-            kind, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+            kind, ok = "a number", _is_number(value)
         if not ok:
             raise ValueError(f"config key {key} must be {kind}, got {value!r}")
     resolved = {}
@@ -138,20 +143,21 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _sellmeier_from_config(config: dict) -> SellmeierSet:
+    provenance = config.get("sellmeier_provenance", "user-supplied")
+    if not isinstance(provenance, str):
+        raise ValueError(f"config key sellmeier_provenance must be a string, got {provenance!r}")
     if "sellmeier_ordinary" not in config and "sellmeier_extraordinary" not in config:
         return BBO_EIMERL_1987
-    try:
-        ordinary = tuple(float(v) for v in config["sellmeier_ordinary"])
-        extraordinary = tuple(float(v) for v in config["sellmeier_extraordinary"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(
-            "config must provide both sellmeier_ordinary and sellmeier_extraordinary "
-            "as 4-element [a, b, c, d] arrays"
-        ) from exc
-    if len(ordinary) != 4 or len(extraordinary) != 4:
-        raise ValueError("Sellmeier coefficient arrays must have 4 entries (a, b, c, d)")
-    provenance = str(config.get("sellmeier_provenance", "user-supplied"))
-    return SellmeierSet(ordinary=ordinary, extraordinary=extraordinary, provenance=provenance)
+    coefficients = []
+    for key in ("sellmeier_ordinary", "sellmeier_extraordinary"):
+        value = config.get(key)
+        if not (isinstance(value, list) and len(value) == 4 and all(map(_is_number, value))):
+            raise ValueError(
+                f"config key {key} must be a 4-element [a, b, c, d] array of Sellmeier "
+                f"coefficients as JSON numbers, got {value!r}"
+            )
+        coefficients.append(tuple(float(v) for v in value))
+    return SellmeierSet(ordinary=coefficients[0], extraordinary=coefficients[1], provenance=provenance)
 
 
 _STAGE_TITLES = (

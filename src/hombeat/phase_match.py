@@ -91,6 +91,7 @@ class CrystalConfig:
             raise ValueError("cut angle must lie strictly between 0 and 90 degrees")
         if not self.pump_frequency_thz > 0.0:
             raise ValueError("pump frequency must be positive")
+        _check_window(wavelength_um(self.pump_frequency_thz), "pump wavelength")
 
 
 @dataclass(frozen=True)
@@ -130,10 +131,10 @@ def wavelength_um(frequency_thz: float) -> float:
     return SPEED_OF_LIGHT_UM_THZ / frequency_thz
 
 
-def _check_window(lam_um: float) -> None:
+def _check_window(lam_um: float, name: str = "wavelength") -> None:
     lo, hi = WAVELENGTH_WINDOW_UM
     if not lo <= lam_um <= hi:
-        raise ValueError(f"wavelength {lam_um:.4f} um outside the supported window [{lo}, {hi}] um")
+        raise ValueError(f"{name} {lam_um:.4f} um outside the supported window [{lo}, {hi}] um")
 
 
 def _sellmeier_index(coef: tuple[float, float, float, float], lam_um):

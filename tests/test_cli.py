@@ -11,6 +11,7 @@ import pytest
 import hombeat
 from hombeat.cli import main
 from hombeat.dataio import read_csv, write_csv
+from hombeat.hom_interference import coincidence_rde
 
 
 def run(args):
@@ -233,6 +234,34 @@ def test_phasematch_rejects_sellmeier_set_without_real_index(tmp_path, capsys, e
 
 
 @pytest.mark.parametrize(
+    "config,message",
+    [({"sellmeier_ordinary": [True, 0.01878, 0.01822, 0.01354]}, "sellmeier_ordinary must be"),
+     ({"sellmeier_provenance": 5}, "sellmeier_provenance must be a string")],
+)
+def test_phasematch_rejects_sellmeier_config_of_the_wrong_json_type(tmp_path, capsys, config,
+                                                                      message):
+    config = {"sellmeier_ordinary": [2.7359, 0.01878, 0.01822, 0.01354],
+              "sellmeier_extraordinary": [2.3753, 0.01224, 0.01667, 0.01516], **config}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "pm.csv"
+    code = run(["phasematch", "--cut-angle", "45", "--points", "11",
+                "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phasematch_rejects_pump_outside_the_dispersion_window(tmp_path, capsys):
+    out = tmp_path / "pm.csv"
+    code = run(["phasematch", "--cut-angle", "45", "--pump-thz", "2200", "--f-min", "600",
+                "--f-max", "1000", "--points", "11", "--out", str(out)])
+    assert code == 2
+    assert "pump wavelength 0.1363 um outside the supported window [0.3, 1.5] um" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,code,stderr",
     [(["jsa", "--sigma", "1e-300", "--grid", "16"], 2, "error: joint amplitude is not finite"),
      (["phasematch", "--cut-angle", "41", "--points", "201"], 0, ""),
@@ -263,6 +292,21 @@ def test_estimate_round_trip(tmp_path, capsys):
     payload = json.loads(result_json.read_text())
     assert payload["converged"]
     assert payload["beat_rad_per_s"] == pytest.approx(8e12, rel=0.005)
+
+
+def test_estimate_large_jittered_trace(tmp_path):
+    # the size bulk fits use, on a non-uniform grid: the spectrum must not be quadratic
+    rng = np.random.default_rng(2025)
+    base = np.linspace(-3e-12, 3e-12, 156_250)
+    taus = base + rng.uniform(-0.2, 0.2, base.size) * (base[1] - base[0])
+    p = coincidence_rde(taus, 1e-12, 2, 2e12) + rng.normal(0.0, 0.01, base.size)
+    trace_csv = tmp_path / "jittered.csv"
+    result_json = tmp_path / "result.json"
+    write_csv(trace_csv, {"tau_s": taus, "p": p}, {})
+    assert run(["estimate", "--input", str(trace_csv), "--out", str(result_json)]) == 0
+    payload = json.loads(result_json.read_text())
+    assert payload["converged"]
+    assert payload["beat_rad_per_s"] == pytest.approx(8e12, rel=0.01)
 
 
 def test_estimate_writes_to_stdout(tmp_path, capsys):

@@ -14,6 +14,8 @@ from hombeat.phase_match import (
     CrystalConfig,
     EmissionCurve,
     IntersectionResult,
+    SPEED_OF_LIGHT_UM_THZ,
+    WAVELENGTH_WINDOW_UM,
     NoSolutionError,
     SellmeierSet,
     bandwidth_error,
@@ -265,6 +267,16 @@ def test_crystal_config_validation():
         CrystalConfig(cut_angle_deg=95.0, pump_frequency_thz=PUMP_THZ)
     with pytest.raises(ValueError):
         CrystalConfig(cut_angle_deg=45.0, pump_frequency_thz=-1.0)
+
+
+@pytest.mark.parametrize("pump_thz", [2200.0, 150.0, math.inf])
+def test_crystal_config_rejects_pump_outside_the_dispersion_window(pump_thz):
+    # 0.136 um, 2.0 um and 0 um: the Sellmeier data cover 0.3-1.5 um only
+    with pytest.raises(ValueError, match=r"window \[0.3, 1.5\] um"):
+        CrystalConfig(cut_angle_deg=45.0, pump_frequency_thz=pump_thz)
+    lo, hi = WAVELENGTH_WINDOW_UM
+    for edge in (lo, hi):
+        CrystalConfig(cut_angle_deg=45.0, pump_frequency_thz=SPEED_OF_LIGHT_UM_THZ / edge)
 
 
 # ---------------------------------------------------------------------------

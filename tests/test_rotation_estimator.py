@@ -1,8 +1,14 @@
 import math
+import pathlib
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hombeat import rotation_estimator
 from hombeat.hom_interference import HomConfig, coincidence_rde
 from hombeat.rotation_estimator import (
     EstimateResult,
@@ -12,6 +18,9 @@ from hombeat.rotation_estimator import (
     fit_envelope,
     synthesize_trace,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import direct_dft  # noqa: E402
 
 
 def cfg(l=2, omega=2e12, tau_c=1e-12, span=3e-12, n=1201):
@@ -140,6 +149,64 @@ def test_extract_beat_on_non_uniform_grid():
     result = estimate(tr)
     assert result.converged
     assert result.beat == pytest.approx(BEAT_REFERENCE, rel=0.005)
+
+
+def jittered_trace(n, seed, sigma=0.0, beat=BEAT_REFERENCE):
+    """Dip with tau_c = 1 ps on +-3 ps, each delay moved by up to 0.2 steps."""
+    rng = np.random.default_rng(seed)
+    base = np.linspace(-3e-12, 3e-12, n)
+    taus = base + rng.uniform(-0.2, 0.2, n) * (base[1] - base[0])
+    p = coincidence_rde(taus, 1e-12, 1, beat / 2.0) + rng.normal(0.0, sigma, n)
+    return NoisyTrace(tau=taus, p=p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(32, 600),
+    seed=st.integers(0, 2**32 - 1),
+    beat=st.floats(1e12, 2e13),
+    sigma=st.sampled_from([0.0, 0.01, 0.05]),
+)
+def test_non_uniform_spectrum_matches_direct_transform(n, seed, beat, sigma):
+    tr = jittered_trace(n, seed, sigma, beat)
+    y = 0.5 - tr.p
+    freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y)
+    want_freqs, want = direct_dft.magnitude_spectrum(tr.tau, y)
+    assert np.array_equal(freqs, want_freqs)
+    assert np.max(np.abs(spectrum - want)) <= 1e-10 * want.max()
+    # the bin extract_beat picks: the largest above its low-frequency guard
+    candidates = freqs >= 2.5 * 2.0 * math.pi / float(tr.tau[-1] - tr.tau[0])
+    assert np.argmax(spectrum[candidates]) == np.argmax(want[candidates])
+
+
+def test_extract_beat_with_the_direct_transform_is_unchanged(monkeypatch):
+    traces = [jittered_trace(1201, 123), *(jittered_trace(601, s, 0.01) for s in range(3))]
+    beats = [extract_beat(tr) for tr in traces]
+    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", direct_dft.magnitude_spectrum)
+    for tr, beat in zip(traces, beats):
+        assert beat == pytest.approx(BEAT_REFERENCE, rel=0.05)
+        assert extract_beat(tr) == pytest.approx(beat, rel=1e-9)
+
+
+def test_fft_length_is_the_next_5_smooth_integer():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8) for c in range(6))
+    for n in range(1, 2049):
+        assert rotation_estimator._fft_length(n) == next(m for m in smooth if m >= n)
+    # 8 n + 4 at n = 156,250 is 2^2 3 7 23 647, a slow length for the FFT
+    assert rotation_estimator._fft_length(1_250_004) == 1_259_712
+
+
+def test_non_uniform_spectrum_memory_bounded_by_blocks():
+    tr = jittered_trace(156_250, 5, 0.01)
+    y = 0.5 - tr.p
+    tracemalloc.start()
+    try:
+        freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectrum.size == freqs.size == 4 * 156_250 + 1
+    assert peak <= 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
