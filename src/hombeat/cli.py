@@ -143,10 +143,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
 
 def _sellmeier_from_config(config: dict) -> SellmeierSet:
-    provenance = config.get("sellmeier_provenance", "user-supplied")
-    if not isinstance(provenance, str):
-        raise ValueError(f"config key sellmeier_provenance must be a string, got {provenance!r}")
-    if "sellmeier_ordinary" not in config and "sellmeier_extraordinary" not in config:
+    if not _SELLMEIER_KEYS & set(config):
         return BBO_EIMERL_1987
     coefficients = []
     for key in ("sellmeier_ordinary", "sellmeier_extraordinary"):
@@ -157,6 +154,9 @@ def _sellmeier_from_config(config: dict) -> SellmeierSet:
                 f"coefficients as JSON numbers, got {value!r}"
             )
         coefficients.append(tuple(float(v) for v in value))
+    provenance = config.get("sellmeier_provenance", "user-supplied")
+    if not isinstance(provenance, str):
+        raise ValueError(f"config key sellmeier_provenance must be a string, got {provenance!r}")
     return SellmeierSet(ordinary=coefficients[0], extraordinary=coefficients[1], provenance=provenance)
 
 

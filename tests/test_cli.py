@@ -233,15 +233,20 @@ def test_phasematch_rejects_sellmeier_set_without_real_index(tmp_path, capsys, e
     assert not out.exists()
 
 
+KATO_ORDINARY = [2.7359, 0.01878, 0.01822, 0.01354]
+KATO_EXTRAORDINARY = [2.3753, 0.01224, 0.01667, 0.01516]
+
+
 @pytest.mark.parametrize(
     "config,message",
-    [({"sellmeier_ordinary": [True, 0.01878, 0.01822, 0.01354]}, "sellmeier_ordinary must be"),
-     ({"sellmeier_provenance": 5}, "sellmeier_provenance must be a string")],
+    [({"sellmeier_ordinary": [True, 0.01878, 0.01822, 0.01354],
+       "sellmeier_extraordinary": KATO_EXTRAORDINARY}, "sellmeier_ordinary must be"),
+     ({"sellmeier_ordinary": KATO_ORDINARY, "sellmeier_extraordinary": KATO_EXTRAORDINARY,
+       "sellmeier_provenance": 5}, "sellmeier_provenance must be a string"),
+     ({"sellmeier_provenance": "Kato 1986"}, "sellmeier_ordinary must be")],  # no set to name
 )
 def test_phasematch_rejects_sellmeier_config_of_the_wrong_json_type(tmp_path, capsys, config,
                                                                       message):
-    config = {"sellmeier_ordinary": [2.7359, 0.01878, 0.01822, 0.01354],
-              "sellmeier_extraordinary": [2.3753, 0.01224, 0.01667, 0.01516], **config}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "pm.csv"
