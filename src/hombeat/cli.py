@@ -157,7 +157,7 @@ def _sellmeier_from_config(config: dict) -> SellmeierSet:
     provenance = config.get("sellmeier_provenance", "user-supplied")
     if not isinstance(provenance, str):
         raise ValueError(f"config key sellmeier_provenance must be a string, got {provenance!r}")
-    return SellmeierSet(ordinary=coefficients[0], extraordinary=coefficients[1], provenance=provenance)
+    return SellmeierSet(*coefficients, provenance=provenance)
 
 
 _STAGE_TITLES = (

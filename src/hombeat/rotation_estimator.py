@@ -274,8 +274,8 @@ def _spread(x: np.ndarray, c: np.ndarray, m_grid: int, t: float) -> np.ndarray:
         idx = ((m0 - m0[0])[:, None] + np.arange(2 * w)).ravel()
         run = slice(int(m0[0]) + 1, int(m0[-1]) + 1 + 2 * w)
         size = run.stop - run.start
-        padded.real[run] += np.bincount(idx, (kernel * cb.real[:, None]).ravel(), size)
-        padded.imag[run] += np.bincount(idx, (kernel * cb.imag[:, None]).ravel(), size)
+        padded.real[run] += np.bincount(idx, (kernel * cb.real[:, None]).ravel(), minlength=size)
+        padded.imag[run] += np.bincount(idx, (kernel * cb.imag[:, None]).ravel(), minlength=size)
     grid = padded[w:]
     grid[-w:] += padded[:w]
     return grid

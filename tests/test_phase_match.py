@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from hombeat import phase_match
 from hombeat.phase_match import (
     BBO_EIMERL_1987,
+    SPEED_OF_LIGHT_UM_THZ,
+    WAVELENGTH_WINDOW_UM,
     CrystalConfig,
     EmissionCurve,
     IntersectionResult,
-    SPEED_OF_LIGHT_UM_THZ,
-    WAVELENGTH_WINDOW_UM,
     NoSolutionError,
     SellmeierSet,
     bandwidth_error,

@@ -139,7 +139,7 @@ def test_extract_beat_noisy():
 
 def test_extract_beat_on_non_uniform_grid():
     # jitter below half a step keeps delays strictly increasing and forces
-    # the direct-transform path instead of the FFT
+    # the non-uniform FFT path instead of the rfft
     rng = np.random.default_rng(123)
     base = np.linspace(-3e-12, 3e-12, 1201)
     taus = base + rng.uniform(-0.2, 0.2, base.size) * (base[1] - base[0])
