@@ -5,12 +5,18 @@ then numeric rows.  Values are written with 12 significant digits, using
 scientific notation outside [1e-3, 1e6), so a write/read round trip
 reproduces them to 12 significant digits.  Missing cells are empty strings
 and read back as NaN.
+
+Rows are written as bytes encoded by numpy a block at a time: each value's
+12-digit mantissa and decimal exponent come from float64 scaling by exact
+powers of ten, and from Python's correctly rounded ``format`` for the few
+values near a rounding tie, so every cell is exactly ``format_float``'s
+text.  ``format_float`` stays the one scalar definition.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,59 +45,211 @@ def format_float(x: float) -> str:
 
 
 # rows formatted per step: big enough that the per-block numpy calls are
-# amortized, small enough that the text of one block stays about a MB
-# (formatting whole columns at once holds the text of every cell)
+# amortized, small enough that the bytes of one block stay about a MB
 BLOCK_ROWS = 1 << 14
 # characters read per step, about BLOCK_ROWS lines of a written document
 READ_CHARS = 1 << 20
 
-# "%.12g" text equals format_float except for NaN (an empty cell here), -0.0,
-# and the two decades where %g and format_float pick different notations;
-# the bands are wide enough to cover values that round across 1e-4 or 1e12
-_G_EXCEPTION_BANDS = ((5e-5, 1e-3), (1e6, 1e13))
-
 # every byte but the cell and line separators, deleted to check the row shape
 _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
+# ---------------------------------------------------------------------------
+# Cell text as bytes, many cells at once.  Every finite nonzero value becomes
+# a 12-digit integer m and a decimal exponent, computed in float64 where one
+# or two multiplications by an exact power of ten keep the scaled value
+# within 2**-12 of the exact one, and taken from Python's correctly rounded
+# format near a rounding tie, a decade edge or the ends of the double range.
+# Each cell is then written into a row of slots that holds, in text order,
+# every byte a cell of its kind can contain; the cell's layout code (and, in
+# CSV cells, the index of m's last nonzero digit, which trims trailing
+# zeros) selects the slots it keeps, and np.compress drops the rest.
 
-def _cell(v: float) -> str:
-    """The CSV cell of one value: empty for NaN, else format_float's text."""
-    return "" if v != v else format_float(v)
+# the four ASCII digits of 0..9999, one row each, and their trailing zeros
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+_DIGITS4_WORDS = _DIGITS4.view(np.uint32).ravel()
+_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10**k == 0 for k in (1, 2, 3, 4)).astype(np.int8)
+# exact powers of ten: 10**k is a double for k <= 22
+_POW10 = 10.0 ** np.arange(23)
+# the float64 mantissa is off by at most 2**-12 from the exact scaled value,
+# so a cell this close to a rounding tie is decided by the exact fallback
+_TIE_GUARD = 2.0**-10
+_ALWAYS, _NEVER = -1, 99
 
 
-def _format_cells(values: np.ndarray, scratch: tuple[np.ndarray, ...]) -> list[str]:
-    """The cells of one column block, NaN empty.
+def _digits(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 12 ASCII digits of each m < 1e12 and the index of its last nonzero digit."""
+    head, low = np.divmod(m, 10_000)
+    top, mid = np.divmod(head, 10_000)
+    words = np.empty((m.size, 3), np.uint32)
+    words[:, 0] = _DIGITS4_WORDS[top]
+    words[:, 1] = _DIGITS4_WORDS[mid]
+    words[:, 2] = _DIGITS4_WORDS[low]
+    last = np.where(low != 0, 11 - _TRAILING_ZEROS4[low],
+                    np.where(mid != 0, 7 - _TRAILING_ZEROS4[mid], 3 - _TRAILING_ZEROS4[top]))
+    return words.view(np.uint8), last
 
-    An axis-like block (a repeat or tile of a few values) formats each
-    distinct value once.  Any other block is formatted by one C-level map,
-    and the cells "%.12g" gets wrong are found with numpy, writing into the
-    same ``scratch`` buffers for every block: fresh block-sized temporaries
-    fragment the C heap of a long-lived process (after a few warm-up
-    exports, a 1024^2 JSA export then left ~35 MB resident).
+
+def _thresholds(slots: bytes, layouts: list[list[tuple[int, int]]]) -> np.ndarray:
+    """Per layout and slot, the least last-digit index that keeps the slot.
+
+    Slot 0 (the sign) is set per cell and the final slot (the separator) is
+    always kept.
     """
-    cells = values.tolist()
-    distinct = set(cells)
-    if 4 * len(distinct) <= len(cells):
-        distinct = list(distinct)
-        text = dict(zip(distinct, (_cell(v) for v in distinct)))
-        return list(map(text.__getitem__, cells))
-    texts = list(map(format, cells, repeat(".12g")))
-    n = len(cells)
-    magnitude, special, a, b = scratch[0][:n], scratch[1][:n], scratch[2][:n], scratch[3][:n]
-    np.abs(values, out=magnitude)
-    np.isnan(values, out=special)
-    np.equal(values, 0.0, out=a)
-    np.signbit(values, out=b)
-    a &= b  # -0.0
-    special |= a
-    for lo, hi in _G_EXCEPTION_BANDS:
-        np.greater_equal(magnitude, lo, out=a)
-        np.less(magnitude, hi, out=b)
-        a &= b
-        special |= a
-    for i in compress(range(n), special.tolist()):
-        texts[i] = _cell(cells[i])
-    return texts
+    threshold = np.full((len(layouts), len(slots)), _NEVER, np.int8)
+    for code, layout in enumerate(layouts):
+        for slot, keep in layout:
+            threshold[code, slot] = keep
+    threshold[:, -1] = _ALWAYS
+    return threshold
+
+
+# CSV slots: sign, "0.00" before small plain values, the digits with a point
+# after each of the first seven, the exponent, "inf", the separator
+_CSV_SLOTS = b"-0.00" + b"0." * 7 + b"00000" + b"e+000" + b"inf" + b","
+_CSV_DIGIT = [5 + 2 * k for k in range(7)] + [12 + k for k in range(7, 12)]
+_CSV_E, _CSV_SIGN, _CSV_EXP, _CSV_INF = 24, 25, 26, 29
+
+
+def _plain(e: int) -> list[tuple[int, int]]:
+    """"%.12g" fixed notation of a value with decimal exponent e."""
+    fraction = [(_CSV_DIGIT[k], k) for k in range(max(e + 1, 1), 12)]
+    if e < 0:
+        return [(1, _ALWAYS), (2, _ALWAYS), *[(3 + k, _ALWAYS) for k in range(-e - 1)],
+                (_CSV_DIGIT[0], _ALWAYS), *fraction]
+    return [*[(_CSV_DIGIT[k], _ALWAYS) for k in range(e + 1)], (_CSV_DIGIT[e] + 1, e + 1),
+            *fraction]
+
+
+def _scientific(exp_digits: int) -> list[tuple[int, int]]:
+    """".11e" notation with trailing zeros (and then a bare point) trimmed."""
+    return [(_CSV_DIGIT[0], _ALWAYS), (_CSV_DIGIT[0] + 1, 1),
+            *[(_CSV_DIGIT[k], k) for k in range(1, 12)], (_CSV_E, _ALWAYS), (_CSV_SIGN, _ALWAYS),
+            *[(_CSV_EXP + k, _ALWAYS) for k in range(3 - exp_digits, 3)]]
+
+
+# codes 0-9: plain with exponent -3..6; then scientific, zero, inf, NaN
+_PLAIN_MIN_EXP = -3
+_SCI2, _SCI3, _ZERO_CELL, _INF_CELL, _NAN_CELL = 10, 11, 12, 13, 14
+# rows code * 12 + last
+_CSV_KEEP = (_thresholds(_CSV_SLOTS, [
+    *map(_plain, range(_PLAIN_MIN_EXP, 7)), _scientific(2), _scientific(3),
+    [(1, _ALWAYS)], [(_CSV_INF + k, _ALWAYS) for k in range(3)], [],
+])[:, None, :] <= np.arange(12)[:, None]).reshape(-1, len(_CSV_SLOTS))
+_CSV_TEMPLATE = np.frombuffer(_CSV_SLOTS, np.uint8)
+
+# "%.2f" slots: sign, ten integer digits, point, two decimals, "inanf", separator
+_FIXED2_SLOTS = b"-" + b"0" * 10 + b"." + b"00" + b"inanf" + b" "
+# codes 0-9 hold 1..10 integer digits, then NaN and inf
+_FIXED2_KEEP = _thresholds(_FIXED2_SLOTS, [
+    *([(slot, _ALWAYS) for slot in range(11 - n, 14)] for n in range(1, 11)),
+    [(15, _ALWAYS), (16, _ALWAYS), (17, _ALWAYS)], [(14, _ALWAYS), (15, _ALWAYS), (18, _ALWAYS)],
+]) == _ALWAYS
+_FIXED2_NAN, _FIXED2_INF = 10, 11
+_FIXED2_TEMPLATE = np.frombuffer(_FIXED2_SLOTS, np.uint8)
+# below this, 100 |x| rounds to at most 11 digits
+FIXED2_LIMIT = 1e9
+_FIXED2_STEPS = 10 ** np.arange(3, 12)
+
+
+def _exact(magnitudes: np.ndarray, spec: str) -> list[str]:
+    """Python's correctly rounded text of each magnitude."""
+    return list(map(format, magnitudes.tolist(), repeat(spec)))
+
+
+def csv_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot bytes and keep mask of the CSV cells of ``values``.
+
+    A cell's text is format_float's, except that NaN is an empty cell.
+    """
+    magnitude = np.abs(values)
+    regular = np.isfinite(magnitude) & (magnitude != 0.0)
+    x = np.where(regular, magnitude, 1.0)
+    exponent = np.floor(np.log10(x)).astype(np.int64)
+    # scale by 10**(11 - exponent) in at most two exact factors
+    k = np.abs(11 - exponent)
+    k1 = np.minimum(k, 22)
+    k2 = k - k1
+    f1, f2 = _POW10[k1], _POW10[np.minimum(k2, 22)]
+    with np.errstate(over="ignore"):  # in the branch np.where drops
+        scaled = np.where(exponent <= 11, x * f1 * f2, x / f1 / f2)
+    fraction = scaled - np.floor(scaled)
+    exact = regular & ((k2 > 22) | (scaled < 1e11) | (scaled >= 1e12)
+                       | (np.abs(fraction - 0.5) < _TIE_GUARD))
+    scaled[exact] = 1e11
+    m = np.rint(scaled).astype(np.int64)
+    carry = m == 10**12  # rounded up into the next decade
+    m[carry] = 10**11
+    exponent += carry
+    if exact.any():
+        texts = _exact(magnitude[exact], ".11e")
+        m[exact] = [int(t[0] + t[2:13]) for t in texts]
+        exponent[exact] = [int(t[14:]) for t in texts]
+    code = np.select(
+        [np.isnan(magnitude), np.isinf(magnitude), magnitude == 0.0,
+         (magnitude >= 1e-3) & (magnitude < 1e6), np.abs(exponent) < 100],
+        [_NAN_CELL, _INF_CELL, _ZERO_CELL, exponent - _PLAIN_MIN_EXP, _SCI2],
+        _SCI3,
+    )
+    digits, last = _digits(m)
+    chars = np.empty((values.size, _CSV_TEMPLATE.size), np.uint8)
+    chars[:] = _CSV_TEMPLATE
+    chars[:, _CSV_DIGIT] = digits
+    # four exponent digits over the sign slot, then the sign
+    chars[:, _CSV_SIGN:_CSV_EXP + 3].view(np.uint32)[:, 0] = _DIGITS4_WORDS[np.abs(exponent)]
+    chars[:, _CSV_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
+    keep = _CSV_KEEP.take(code * 12 + last, axis=0)
+    keep[:, 0] = values < 0.0
+    return chars, keep
+
+
+def fixed2_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slot bytes and keep mask of ``"{:.2f}".format`` of each value.
+
+    Finite values must be smaller than FIXED2_LIMIT in magnitude.
+    """
+    magnitude = np.abs(values)
+    finite = np.isfinite(magnitude)
+    scaled = np.where(finite, magnitude, 0.0)
+    if (scaled >= FIXED2_LIMIT).any():
+        raise ValueError(f"cannot format values of {FIXED2_LIMIT:g} or more with 2 decimals")
+    scaled *= 100.0
+    fraction = scaled - np.floor(scaled)
+    exact = np.abs(fraction - 0.5) < _TIE_GUARD
+    n = np.rint(scaled).astype(np.int64)
+    if exact.any():
+        n[exact] = [int(t.replace(".", "")) for t in _exact(magnitude[exact], ".2f")]
+    nan = np.isnan(values)
+    code = np.select([nan, ~finite], [_FIXED2_NAN, _FIXED2_INF],
+                     np.searchsorted(_FIXED2_STEPS, n, side="right"))
+    chars = np.empty((values.size, _FIXED2_TEMPLATE.size), np.uint8)
+    chars[:] = _FIXED2_TEMPLATE
+    digits = _digits(n)[0]
+    chars[:, 1:11] = digits[:, :10]
+    chars[:, 12:14] = digits[:, 10:]
+    keep = _FIXED2_KEEP.take(code, axis=0)
+    keep[:, 0] = np.signbit(values) & ~nan
+    return chars, keep
+
+
+def join_cells(cells: Sequence[tuple[np.ndarray, np.ndarray]], separators: bytes) -> np.ndarray:
+    """The bytes of rows of cells, each cell followed by its column's separator.
+
+    ``cells`` holds one (slot bytes, keep mask) pair per column.
+    """
+    chars = np.stack([c for c, _ in cells], axis=1)
+    keep = np.stack([k for _, k in cells], axis=1)
+    chars[:, :, -1] = np.frombuffer(separators, np.uint8)
+    return np.compress(keep.ravel(), chars.ravel())
+
+
+def _column_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV cells of one column block; a block of few distinct values encodes each once."""
+    distinct = np.unique(block)
+    if 4 * distinct.size > block.size:
+        return csv_cells(block)
+    chars, keep = csv_cells(distinct)
+    inverse = np.searchsorted(distinct, block)  # NaN sorts last in both
+    return chars.take(inverse, axis=0), keep.take(inverse, axis=0)
 
 
 def write_csv(
@@ -102,7 +260,7 @@ def write_csv(
     """Write named columns with a key=value comment header.
 
     Column values may contain None for missing cells.  All columns must
-    have equal length.  Rows are formatted and written BLOCK_ROWS at a time.
+    have equal length.  Rows are encoded and written BLOCK_ROWS at a time.
     """
     names = list(columns.keys())
     lengths = {len(columns[n]) for n in names}
@@ -111,16 +269,14 @@ def write_csv(
     n_rows = lengths.pop() if lengths else 0
     # None becomes NaN, which is written as an empty cell
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
-    scratch = (np.empty(BLOCK_ROWS), *(np.empty(BLOCK_ROWS, dtype=bool) for _ in range(3)))
-    with open(path, "w", newline="\n") as fh:
-        for key, value in (meta or {}).items():
-            if isinstance(value, float):
-                value = format_float(value)
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(names) + "\n")
+    separators = b"," * (len(names) - 1) + b"\n"
+    header = [f"# {key}={format_float(v) if isinstance(v, float) else v}\n"
+              for key, v in (meta or {}).items()]
+    with open(path, "wb") as fh:
+        fh.write("".join([*header, ",".join(names), "\n"]).encode())
         for start in range(0, n_rows, BLOCK_ROWS):
-            texts = [_format_cells(a[start:start + BLOCK_ROWS], scratch) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            fh.write(join_cells([_column_cells(a[start:start + BLOCK_ROWS]) for a in arrays],
+                                separators))
 
 
 def _skip_line(line: str, meta: dict[str, str]) -> bool:

@@ -106,40 +106,42 @@ def synthesize_trace(cfg: HomConfig, noise_sigma: float, seed: int) -> NoisyTrac
     return NoisyTrace(tau=tau, p=p, noise_sigma=noise_sigma, rng_seed=seed)
 
 
-def _damped_gauss_newton(residual, jacobian, theta0, max_iter=MAX_ITERATIONS, rel_tol=REL_TOL):
-    """Minimize ||residual(theta)||^2 with step-halving damping.
+def _damped_gauss_newton(evaluate, jacobian, theta0, max_iter=MAX_ITERATIONS, rel_tol=REL_TOL):
+    """Minimize ||r(theta)||^2 with step-halving damping.
 
-    Returns (theta, converged, iterations).  A singular normal matrix or a
+    ``evaluate(theta)`` returns the residual and the intermediates that
+    ``jacobian(theta, intermediates)`` reuses at the same theta.  Returns
+    (theta, residual, converged, iterations).  A singular normal matrix or a
     step that cannot reduce the objective ends the fit unconverged with the
     best parameters found so far.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    r = residual(theta)
+    r, shared = evaluate(theta)
     ssr = float(r @ r)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = jacobian(theta)
+        jac = jacobian(theta, shared)
         try:
             step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
         except np.linalg.LinAlgError:
-            return theta, False, iterations
+            return theta, r, False, iterations
         if not np.all(np.isfinite(step)):
-            return theta, False, iterations
+            return theta, r, False, iterations
         lam = 1.0
         for _ in range(30):
             candidate = theta + lam * step
-            rc = residual(candidate)
+            rc, shared_c = evaluate(candidate)
             src = float(rc @ rc)
             if src <= ssr:
                 break
             lam *= 0.5
         else:
-            return theta, False, iterations
+            return theta, r, False, iterations
         rel_change = float(np.max(np.abs(lam * step) / np.maximum(np.abs(candidate), 1e-12)))
-        theta, r, ssr = candidate, rc, src
+        theta, r, shared, ssr = candidate, rc, shared_c, src
         if rel_change < rel_tol:
-            return theta, True, iterations
-    return theta, False, iterations
+            return theta, r, True, iterations
+    return theta, r, False, iterations
 
 
 def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
@@ -152,29 +154,30 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
     t0 = tau_c0
     free = np.array([True, free_beat, True])
     start = np.array([v0, beat0 * t0, 1.0])
+    tau2 = tau**2
 
     def unpack(theta):
         full = start.copy()
         full[free] = theta
         return full
 
-    def residual(theta):
+    def evaluate(theta):
         v, b, u = unpack(theta)
-        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
-        return 0.5 - 0.5 * v * np.cos(b / t0 * tau) * env - target
+        env = np.exp(-tau2 / (2.0 * (u * t0) ** 2))
+        cos = np.cos(b / t0 * tau)
+        return 0.5 - 0.5 * v * cos * env - target, (cos, env)
 
-    def jacobian(theta):
+    def jacobian(theta, shared):
         v, b, u = unpack(theta)
-        arg = b / t0 * tau
-        env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
-        d_v = -0.5 * np.cos(arg) * env
-        d_b = 0.5 * v * np.sin(arg) * env * tau / t0
-        d_u = -0.5 * v * np.cos(arg) * env * (tau**2) / ((u * t0) ** 2 * u)
+        cos, env = shared
+        d_v = -0.5 * cos * env
+        d_b = 0.5 * v * np.sin(b / t0 * tau) * env * tau / t0
+        d_u = -0.5 * v * cos * env * tau2 / ((u * t0) ** 2 * u)
         return np.column_stack([d_v, d_b, d_u])[:, free]
 
-    theta, converged, iterations = _damped_gauss_newton(residual, jacobian, start[free])
+    theta, r, converged, iterations = _damped_gauss_newton(evaluate, jacobian, start[free])
     v, b, u = unpack(theta)
-    rms = float(np.sqrt(np.mean(residual(theta) ** 2)))
+    rms = float(np.sqrt(np.mean(r**2)))
     return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
 
 

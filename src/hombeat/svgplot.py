@@ -12,9 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import fixed2_cells, join_cells
 
-# polyline points formatted per step, so a long trace never becomes one
-# list of per-point strings
+# polyline points encoded per step, so a long trace never becomes one
+# whole-trace text
 BLOCK_POINTS = 1 << 14
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -81,19 +82,17 @@ def _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title):
 
 def _write_parts(fh, parts: list[str]) -> None:
     """Write each part as one line of the document."""
-    fh.write("\n".join(parts) + "\n")
+    fh.write(("\n".join(parts) + "\n").encode())
 
 
 def _write_polyline(fh, px: np.ndarray, py: np.ndarray, color: str) -> None:
-    """One polyline, its points formatted BLOCK_POINTS at a time."""
-    fh.write('<polyline points="')
+    """One polyline, its "%.2f" points encoded BLOCK_POINTS at a time."""
+    fh.write(b'<polyline points="')
     for start in range(0, px.size, BLOCK_POINTS):
-        if start:
-            fh.write(" ")
         stop = start + BLOCK_POINTS
-        fh.write(" ".join(map("{:.2f},{:.2f}".format, px[start:stop].tolist(),
-                              py[start:stop].tolist())))
-    fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        text = join_cells([fixed2_cells(px[start:stop]), fixed2_cells(py[start:stop])], b", ")
+        fh.write(text if stop < px.size else text[:-1])  # no space after the last point
+    fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode())
 
 
 def line_plot(
@@ -124,7 +123,7 @@ def line_plot(
 
     parts = _svg_header(width, height)
     _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         _write_parts(fh, parts)
         for k, (label, x, y) in enumerate(series):
             color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
@@ -146,7 +145,7 @@ def line_plot(
                     f'<text x="{x1 - 90}" y="{ly}" font-size="11" '
                     f'font-family="sans-serif">{label}</text>',
                 ])
-        fh.write("</svg>\n")
+        fh.write(b"</svg>\n")
 
 
 def _heat_colors(t: np.ndarray) -> np.ndarray:
@@ -193,12 +192,12 @@ def heatmap(
     color_index = color_index.reshape(nx, ny)
     ys = [f"{y1 - (j + 1) * ch:.2f}" for j in range(ny)]
     size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         _write_parts(fh, _svg_header(width, height))
         for i in range(nx):
             rect = f'<rect x="{x0 + i * cw:.2f}" y="{{}}" {size} fill="{{}}"/>'.format
             row = map(fills.__getitem__, color_index[i].tolist())
-            fh.write("\n".join(map(rect, ys, row)) + "\n")
+            fh.write(("\n".join(map(rect, ys, row)) + "\n").encode())
         parts: list[str] = []
         _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
         _write_parts(fh, parts + ["</svg>"])

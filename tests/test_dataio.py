@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -142,17 +143,51 @@ def _expected_cell(v):
     return "" if math.isnan(v) else format_float(v)
 
 
+def _nudged(v, steps):
+    for _ in range(abs(steps)):
+        v = float(np.nextafter(v, math.inf if steps > 0 else -math.inf))
+    return v
+
+
+# every power of ten of the double range and its three neighbours either side
+POWER_NEIGHBOURS = [_nudged(float(f"1e{e}"), s) for e in range(-323, 309) for s in range(-3, 4)]
+
+
 def test_write_edge_values_match_format_float(tmp_path):
-    assert _written_cells(tmp_path, EDGE_VALUES) == [_expected_cell(v) for v in EDGE_VALUES]
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-                | st.sampled_from(EDGE_VALUES).map(lambda v: v * (1 + 2**-52)),
-                min_size=1, max_size=40))
-def test_write_cells_match_format_float(tmp_path, values):
+    values = EDGE_VALUES + POWER_NEIGHBOURS
     assert _written_cells(tmp_path, values) == [_expected_cell(v) for v in values]
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every double: raw bit patterns (subnormals, signed zeros, infinities, NaNs)
+_ANY_DOUBLE = st.integers(0, 2**64 - 1).map(_from_bits)
+# the double nearest a tie of 12-digit rounding, (k + 1/2) 10^e with k of 11
+# or 12 digits, so the value has 12 or 13 significant digits before the 5
+_NEAR_TIE = st.builds(lambda k, e: float(f"{k}5e{e}"),
+                      st.integers(10**10, 10**12 - 1), st.integers(-330, 290))
+# neighbours of the notation switches and the decades %g treats differently
+_NEAR_EDGE = st.builds(_nudged, st.sampled_from([1e-3, 1e6, 1e-5, 1e12, -1e-3, -1e6]),
+                       st.integers(-3, 3))
+_INTEGER_13 = st.integers(-(10**13) + 1, 10**13 - 1).map(float)
+_CELL_VALUES = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                | st.sampled_from(EDGE_VALUES).map(lambda v: v * (1 + 2**-52))
+                | _ANY_DOUBLE | _NEAR_TIE | _NEAR_EDGE | _INTEGER_13)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_CELL_VALUES, min_size=1, max_size=40), st.integers(0, 40))
+def test_write_cells_match_format_float(tmp_path, values, before_boundary):
+    expected = [_expected_cell(v) for v in values]
+    assert _written_cells(tmp_path, values) == expected
+    # the same cells across a block boundary, after a block of one repeated value
+    path = tmp_path / "straddle.csv"
+    write_csv(path, {"v": [0.5] * (BLOCK_ROWS - before_boundary) + values})
+    cells = path.read_text().split("\n")[1:-1]
+    assert cells[BLOCK_ROWS - before_boundary:] == expected
 
 
 def test_none_and_nan_give_empty_cells(tmp_path):

@@ -20,6 +20,7 @@ from hombeat.rotation_estimator import (
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import dip_fit_reference  # noqa: E402
 import direct_dft  # noqa: E402
 
 
@@ -213,6 +214,14 @@ def test_non_uniform_spectrum_memory_bounded_by_blocks():
 # joint estimation
 
 
+@pytest.mark.parametrize("free_beat", [True, False])
+def test_fit_dip_with_shared_evaluation_is_bit_identical(free_beat):
+    c = cfg(span=2.2e-12, n=176_001)
+    tr = synthesize_trace(c, 0.01, seed=5)
+    args = (tr.tau, tr.p, 0.9, 1.01 * BEAT_REFERENCE, 1.05e-12, free_beat)
+    assert rotation_estimator._fit_dip(*args) == dip_fit_reference.fit_dip(*args)
+
+
 def test_estimate_round_trip_noiseless():
     result = estimate(synthesize_trace(cfg(), 0.0, 0))
     assert result.converged
@@ -276,3 +285,36 @@ def test_estimate_requires_enough_samples():
     taus = np.linspace(-3e-12, 3e-12, 20)
     with pytest.raises(ValueError):
         estimate(NoisyTrace(tau=taus, p=np.full(20, 0.4)))
+
+
+# ---------------------------------------------------------------------------
+# known estimator defects (ROADMAP item 3): fits that do not describe the data
+# and still report converged.  Each must flip once the fix lands.
+
+TAU_C_DEFECT = 300e-15
+L_DEFECT, OMEGA_DEFECT, SIGMA_DEFECT = 2, 2e12, 0.005
+
+
+def _defect_trace(shape):
+    """1,201 samples over +-4 tau_c of a dip model altered by ``shape``, seeded noise."""
+    tau = np.linspace(-4 * TAU_C_DEFECT, 4 * TAU_C_DEFECT, 1201)
+    p = shape(tau) + np.random.default_rng(3).normal(0.0, SIGMA_DEFECT, tau.size)
+    return NoisyTrace(tau=tau, p=p, noise_sigma=SIGMA_DEFECT)
+
+
+def _model(tau):
+    return coincidence_rde(tau, TAU_C_DEFECT, L_DEFECT, OMEGA_DEFECT)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the dip model has no delay offset or "
+                   "free baseline, and converged does not test the residual against the noise")
+@pytest.mark.parametrize("shape", [
+    pytest.param(lambda tau: _model(tau - 0.2 * TAU_C_DEFECT), id="dip_offset_0p2_tau_c"),
+    pytest.param(lambda tau: 0.8 * _model(tau), id="trace_scaled_0p8"),
+])
+def test_converged_fit_describes_the_data(shape):
+    result = estimate(_defect_trace(shape))
+    beat = 2 * L_DEFECT * OMEGA_DEFECT
+    describes = (abs(result.beat / beat - 1.0) < 0.01
+                 and result.rms_residual < 2.0 * SIGMA_DEFECT)
+    assert not result.converged or describes

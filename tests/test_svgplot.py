@@ -1,10 +1,15 @@
+import io
 import math
 import re
 import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hombeat import svgplot
+from hombeat.dataio import FIXED2_LIMIT, fixed2_cells
 
 
 def _scalar_heat_color(t: float) -> str:
@@ -55,6 +60,33 @@ def test_long_polyline_spans_blocks_without_seams(tmp_path):
     cut = svgplot.BLOCK_POINTS + 5
     expected = [" ".join(points[:cut]), " ".join(points[cut + 1:])]
     assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == expected
+
+
+# "x.xx5" decimals, whose nearest doubles sit next to a tie of "%.2f"
+_HALF_CENT = st.integers(-(10**8), 10**8).map(lambda k: float(f"{k}5e-3"))
+_POINT_VALUES = (st.floats(-1e6, 1e6) | _HALF_CENT
+                 | st.sampled_from([-0.0, 0.0, -0.001, -0.004999, 0.005, 0.125, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_POINT_VALUES, _POINT_VALUES), min_size=2, max_size=40),
+       st.integers(1, 8))
+def test_polyline_points_match_format(points, block):
+    px, py = np.array(points).T
+    buf = io.BytesIO()
+    old, svgplot.BLOCK_POINTS = svgplot.BLOCK_POINTS, block
+    try:
+        svgplot._write_polyline(buf, px, py, "#000000")
+    finally:
+        svgplot.BLOCK_POINTS = old
+    text = re.fullmatch(rb'<polyline points="([^"]*)" fill=.*/>\n', buf.getvalue()).group(1)
+    assert text.decode() == " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+
+
+def test_point_encoder_rejects_values_past_its_digits():
+    fixed2_cells(np.array([FIXED2_LIMIT * (1 - 2**-52)]))
+    with pytest.raises(ValueError):
+        fixed2_cells(np.array([0.0, -FIXED2_LIMIT]))
 
 
 def test_heatmap_memory_stays_bounded(tmp_path):
