@@ -64,12 +64,20 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 # CSV cells, the index of m's last nonzero digit, which trims trailing
 # zeros) selects the slots it keeps, and np.compress drops the rest.
 
-# the four ASCII digits of 0..9999, one row each, and their trailing zeros
-_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+# the four ASCII digits of 0..9999, one row each, and their trailing zeros;
+# filled by broadcasting, so importing runs few numpy kernels
+_DIGITS4 = np.empty((10,) * 4 + (4,), np.uint8)
+_TRAILING_ZEROS4 = np.zeros((10,) * 4, np.int8)
+for _place in range(4):
+    _DIGITS4[..., _place] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
+        (1,) * _place + (10,) + (1,) * (3 - _place))
+    _TRAILING_ZEROS4[(slice(None),) * (3 - _place) + (0,) * (_place + 1)] = _place + 1
+del _place
+_DIGITS4 = _DIGITS4.reshape(10_000, 4)
 _DIGITS4_WORDS = _DIGITS4.view(np.uint32).ravel()
-_TRAILING_ZEROS4 = sum(np.arange(10_000) % 10**k == 0 for k in (1, 2, 3, 4)).astype(np.int8)
+_TRAILING_ZEROS4 = _TRAILING_ZEROS4.ravel()
 # exact powers of ten: 10**k is a double for k <= 22
-_POW10 = 10.0 ** np.arange(23)
+_POW10 = np.array([float(10**k) for k in range(23)])
 # the float64 mantissa is off by at most 2**-12 from the exact scaled value,
 # so a cell this close to a rounding tie is decided by the exact fallback
 _TIE_GUARD = 2.0**-10
@@ -148,7 +156,7 @@ _FIXED2_NAN, _FIXED2_INF = 10, 11
 _FIXED2_TEMPLATE = np.frombuffer(_FIXED2_SLOTS, np.uint8)
 # below this, 100 |x| rounds to at most 11 digits
 FIXED2_LIMIT = 1e9
-_FIXED2_STEPS = 10 ** np.arange(3, 12)
+_FIXED2_STEPS = np.array([10**k for k in range(3, 12)])
 
 
 def _exact(magnitudes: np.ndarray, spec: str) -> list[str]:
@@ -244,7 +252,11 @@ def join_cells(cells: Sequence[tuple[np.ndarray, np.ndarray]], separators: bytes
 
 def _column_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The CSV cells of one column block; a block of few distinct values encodes each once."""
-    distinct = np.unique(block)
+    # np.unique would import numpy.ma (about 15 ms in every fresh process)
+    ordered = np.sort(block)
+    first = np.ones(ordered.size, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
     if 4 * distinct.size > block.size:
         return csv_cells(block)
     chars, keep = csv_cells(distinct)
