@@ -64,17 +64,15 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 # CSV cells, the index of m's last nonzero digit, which trims trailing
 # zeros) selects the slots it keeps, and np.compress drops the rest.
 
-# the four ASCII digits of 0..9999, one row each, and their trailing zeros;
-# filled by broadcasting, so importing runs few numpy kernels
-_DIGITS4 = np.empty((10,) * 4 + (4,), np.uint8)
-_TRAILING_ZEROS4 = np.zeros((10,) * 4, np.int8)
-for _place in range(4):
-    _DIGITS4[..., _place] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
-        (1,) * _place + (10,) + (1,) * (3 - _place))
-    _TRAILING_ZEROS4[(slice(None),) * (3 - _place) + (0,) * (_place + 1)] = _place + 1
-del _place
-_DIGITS4 = _DIGITS4.reshape(10_000, 4)
+# the four ASCII digits of 0..9999, one row each, and their trailing zeros,
+# filled by broadcasting so that importing runs few numpy kernels
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
+                                indexing="ij"), axis=-1).reshape(10_000, 4)
 _DIGITS4_WORDS = _DIGITS4.view(np.uint32).ravel()
+_TRAILING_ZEROS4 = np.zeros((10,) * 4, np.int8)
+for _zeros in range(1, 5):
+    _TRAILING_ZEROS4[(Ellipsis,) + (0,) * _zeros] = _zeros
+del _zeros
 _TRAILING_ZEROS4 = _TRAILING_ZEROS4.ravel()
 # exact powers of ten: 10**k is a double for k <= 22
 _POW10 = np.array([float(10**k) for k in range(23)])
