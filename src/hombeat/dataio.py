@@ -55,9 +55,9 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 # ---------------------------------------------------------------------------
 # Cell text as bytes, many cells at once.  Every finite nonzero value becomes
-# a 12-digit integer m and a decimal exponent, computed in float64 where one
-# or two multiplications by an exact power of ten keep the scaled value
-# within 2**-12 of the exact one, and taken from Python's correctly rounded
+# a 12-digit integer m and a decimal exponent, computed in float64 where up
+# to three multiplications by exact powers of ten keep the scaled value
+# within 2**-11 of the exact one, and taken from Python's correctly rounded
 # format near a rounding tie, a decade edge or the ends of the double range.
 # Each cell is then written into a row of slots that holds, in text order,
 # every byte a cell of its kind can contain; the cell's layout code (and, in
@@ -76,7 +76,7 @@ del _zeros
 _TRAILING_ZEROS4 = _TRAILING_ZEROS4.ravel()
 # exact powers of ten: 10**k is a double for k <= 22
 _POW10 = np.array([float(10**k) for k in range(23)])
-# the float64 mantissa is off by at most 2**-12 from the exact scaled value,
+# the float64 mantissa is off by at most 2**-11 from the exact scaled value,
 # so a cell this close to a rounding tie is decided by the exact fallback
 _TIE_GUARD = 2.0**-10
 _ALWAYS, _NEVER = -1, 99
@@ -171,15 +171,13 @@ def csv_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     regular = np.isfinite(magnitude) & (magnitude != 0.0)
     x = np.where(regular, magnitude, 1.0)
     exponent = np.floor(np.log10(x)).astype(np.int64)
-    # scale by 10**(11 - exponent) in at most two exact factors
+    # scale by 10**(11 - exponent) in up to three exact factors
     k = np.abs(11 - exponent)
-    k1 = np.minimum(k, 22)
-    k2 = k - k1
-    f1, f2 = _POW10[k1], _POW10[np.minimum(k2, 22)]
+    f1, f2, f3 = (_POW10[np.clip(k - 22 * i, 0, 22)] for i in range(3))
     with np.errstate(over="ignore"):  # in the branch np.where drops
-        scaled = np.where(exponent <= 11, x * f1 * f2, x / f1 / f2)
+        scaled = np.where(exponent <= 11, x * f1 * f2 * f3, x / f1 / f2 / f3)
     fraction = scaled - np.floor(scaled)
-    exact = regular & ((k2 > 22) | (scaled < 1e11) | (scaled >= 1e12)
+    exact = regular & ((k > 66) | (scaled < 1e11) | (scaled >= 1e12)
                        | (np.abs(fraction - 0.5) < _TIE_GUARD))
     scaled[exact] = 1e11
     m = np.rint(scaled).astype(np.int64)

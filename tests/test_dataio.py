@@ -151,10 +151,15 @@ def _nudged(v, steps):
 
 # every power of ten of the double range and its three neighbours either side
 POWER_NEIGHBOURS = [_nudged(float(f"1e{e}"), s) for e in range(-323, 309) for s in range(-3, 4)]
+# the doubles nearest ties of 12-digit rounding where one to three float64
+# scalings give the digits: these test the tie guard band
+_RNG = np.random.default_rng(8)
+NEAR_TIES = [float(f"{k}5e{e}") for k, e in zip(_RNG.integers(10**11, 10**12, 20_000).tolist(),
+                                               _RNG.integers(-70, 71, 20_000).tolist())]
 
 
 def test_write_edge_values_match_format_float(tmp_path):
-    values = EDGE_VALUES + POWER_NEIGHBOURS
+    values = EDGE_VALUES + POWER_NEIGHBOURS + NEAR_TIES
     assert _written_cells(tmp_path, values) == [_expected_cell(v) for v in values]
 
 
@@ -164,10 +169,10 @@ def _from_bits(bits):
 
 # every double: raw bit patterns (subnormals, signed zeros, infinities, NaNs)
 _ANY_DOUBLE = st.integers(0, 2**64 - 1).map(_from_bits)
-# the double nearest a tie of 12-digit rounding, (k + 1/2) 10^e with k of 11
-# or 12 digits, so the value has 12 or 13 significant digits before the 5
+# the double nearest a decimal tie, (k + 1/2) 10^(e + 1) with k of 11 or 12
+# digits: 12 or 13 significant digits, the last a 5
 _NEAR_TIE = st.builds(lambda k, e: float(f"{k}5e{e}"),
-                      st.integers(10**10, 10**12 - 1), st.integers(-330, 290))
+                      st.integers(10**10, 10**12 - 1), st.integers(-80, 80))
 # neighbours of the notation switches and the decades %g treats differently
 _NEAR_EDGE = st.builds(_nudged, st.sampled_from([1e-3, 1e6, 1e-5, 1e12, -1e-3, -1e6]),
                        st.integers(-3, 3))
