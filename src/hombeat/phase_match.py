@@ -32,8 +32,10 @@ _MAX_INTERNAL_ANGLE_RAD = math.radians(10.0)
 _BISECTION_TOL_RAD = 1e-10
 _COARSE_SCAN_STEPS = 128
 _SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _COARSE_SCAN_STEPS
-# Frequencies scanned per step: bounds the scan's memory at any number of points.
-_BLOCK_ROWS = 256
+# Trial angles evaluated per scan step; a row stops scanning at its bracket.
+_SCAN_CHUNK = 16
+# Frequencies solved per step: bounds the scan's memory at any number of points.
+_BLOCK_ROWS = 1024
 
 
 class NoSolutionError(RuntimeError):
@@ -145,13 +147,17 @@ def _sellmeier_index(coef: tuple[float, float, float, float], lam_um):
     return np.where((lo <= lam_um) & (lam_um <= hi), n, np.nan)
 
 
-def _extraordinary_index(sellmeier: SellmeierSet, lam_um, theta_rad):
-    """Index-ellipsoid index at theta_rad from the optic axis; NaN off the window or [0, pi/2]."""
-    no = _sellmeier_index(sellmeier.ordinary, lam_um)
-    ne = _sellmeier_index(sellmeier.extraordinary, lam_um)
+def _ellipsoid_index(no, ne, theta_rad):
+    """Index-ellipsoid index at theta_rad from the optic axis; NaN off [0, pi/2]."""
     n = 1.0 / np.sqrt((np.cos(theta_rad) / no) ** 2 + (np.sin(theta_rad) / ne) ** 2)
     n = np.where(theta_rad == 0.0, no, np.where(theta_rad == math.pi / 2.0, ne, n))
     return np.where((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0), n, np.nan)
+
+
+def _extraordinary_index(sellmeier: SellmeierSet, lam_um, theta_rad):
+    """Index-ellipsoid index at theta_rad from the optic axis; NaN off the window or [0, pi/2]."""
+    return _ellipsoid_index(_sellmeier_index(sellmeier.ordinary, lam_um),
+                            _sellmeier_index(sellmeier.extraordinary, lam_um), theta_rad)
 
 
 def n_ordinary(lam_um: float, sellmeier: SellmeierSet = BBO_EIMERL_1987) -> float:
@@ -194,55 +200,79 @@ def _pump_wavenumber(cfg: CrystalConfig) -> float:
     return float(_index(cfg, cfg.pump_frequency_thz, True, 0.0)) * cfg.pump_frequency_thz
 
 
-def _kinematics(cfg: CrystalConfig, k_p: float, f_signal, extraordinary: bool, theta_s):
-    """Signal index, idler internal angle and idler shell mismatch; broadcasts.
+def _photons(cfg: CrystalConfig, f_signal: np.ndarray) -> np.ndarray:
+    """Rows: signal frequency, ordinary and principal extraordinary index of signal, of idler."""
+    o, e = cfg.sellmeier.ordinary, cfg.sellmeier.extraordinary
+    lam_s, lam_i = wavelength_um(f_signal), wavelength_um(cfg.pump_frequency_thz - f_signal)
+    return np.stack([f_signal, _sellmeier_index(o, lam_s), _sellmeier_index(e, lam_s),
+                     _sellmeier_index(o, lam_i), _sellmeier_index(e, lam_i)])
+
+
+def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, theta_s):
+    """Signal index, idler internal angle and idler shell mismatch from ``_photons``; broadcasts.
 
     With the signal on its shell at ``theta_s``, momentum conservation fixes
     the idler wave vector; the mismatch is its length minus the idler's shell
     wave number at its angle, so a root puts both photons on shell.  NaN
     marks a wavelength or angle outside the dispersion data.
     """
-    f_idler = cfg.pump_frequency_thz - f_signal
-    n_s = _index(cfg, f_signal, extraordinary, theta_s)
+    f_signal, no_s, ne_s, no_i, ne_i = photons
+    cut = math.radians(cfg.cut_angle_deg)
+    n_s = _ellipsoid_index(no_s, ne_s, cut + theta_s) if extraordinary else no_s
     k_s = n_s * f_signal
     k_i_trans = k_s * np.sin(theta_s)
     k_i_long = k_p - k_s * np.cos(theta_s)
     theta_i = np.arctan2(k_i_trans, k_i_long)
-    n_i = _index(cfg, f_idler, not extraordinary, theta_i)
-    return n_s, theta_i, np.hypot(k_i_trans, k_i_long) - n_i * f_idler
+    n_i = no_i if extraordinary else _ellipsoid_index(no_i, ne_i, cut + theta_i)
+    return n_s, theta_i, np.hypot(k_i_trans, k_i_long) - n_i * (cfg.pump_frequency_thz - f_signal)
 
 
 def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
     """Signal angle, idler angle (rad) and outside angle (deg) per frequency, NaN if unsolved.
 
-    A row brackets at the first scan step whose previous mismatch is zero or
-    changes sign; a NaN up to that step, or met while bisecting, leaves it unsolved.
+    The scan takes ``_SCAN_CHUNK`` trial angles at a time, carrying each row's
+    last mismatch.  A row brackets at the first scan step whose previous
+    mismatch is zero or changes sign and stops there or at its first NaN; a
+    NaN up to the bracket's far end, or met while bisecting, leaves it unsolved.
     """
-    v = _kinematics(cfg, k_p, f[:, None], extraordinary, _SCAN_ANGLES)[2]
-    prev = v[:, :-1]
-    closes = (prev == 0.0) | (prev * v[:, 1:] < 0.0)
-    step = closes.argmax(axis=1)
-    nan_so_far = np.logical_or.accumulate(np.isnan(v), axis=1)
-    live = np.flatnonzero(closes.any(axis=1) & ~nan_so_far[np.arange(f.size), step + 1]
-                          & (cfg.pump_frequency_thz - f > 0.0))
-    step, f = step[live], f[live]
-    fa = prev[live, step]
+    photons = _photons(cfg, f)
+    step, fa = np.full(f.size, -1), np.empty(f.size)  # bracketing step (-1: none), its mismatch
+    rows = np.flatnonzero(cfg.pump_frequency_thz - f > 0.0)  # rows still scanning
+    last = np.full(rows.size, np.nan)  # a NaN never closes, so angle 0 opens no bracket
+    for lo in range(0, _SCAN_ANGLES.size, _SCAN_CHUNK):
+        if not rows.size:
+            break
+        v = _kinematics(cfg, k_p, photons[:, rows, None], extraordinary,
+                        _SCAN_ANGLES[lo : lo + _SCAN_CHUNK])[2]
+        prev = np.concatenate([last[:, None], v[:, :-1]], axis=1)
+        nan = np.isnan(v)
+        stop = nan | (prev == 0.0) | (prev * v < 0.0)
+        col = stop.argmax(axis=1)
+        at = np.arange(rows.size), col
+        done = stop[at]
+        closed = done & ~nan[at]
+        step[rows[closed]] = lo - 1 + col[closed]
+        fa[rows[closed]] = prev[at][closed]
+        rows, last = rows[~done], v[~done, -1]
+    live = np.flatnonzero(step >= 0)
+    photons, step, fa = photons[:, live], step[live], fa[live]
     a = _SCAN_ANGLES[step]
     b = np.where(fa == 0.0, a, _SCAN_ANGLES[step + 1])
     ok = np.ones(live.size, dtype=bool)
-    while (rows := np.flatnonzero(b - a > _BISECTION_TOL_RAD)).size:
-        m = 0.5 * (a[rows] + b[rows])
-        fm = _kinematics(cfg, k_p, f[rows], extraordinary, m)[2]
-        ok[rows] &= ~np.isnan(fm)
-        lower = fa[rows] * fm <= 0.0
-        b[rows] = np.where(lower, m, b[rows])
-        a[rows] = np.where(lower, a[rows], m)
-        fa[rows] = np.where(lower, fa[rows], fm)
+    while (active := b - a > _BISECTION_TOL_RAD).any():
+        m = 0.5 * (a + b)
+        fm = _kinematics(cfg, k_p, photons, extraordinary, m)[2]
+        ok &= ~(active & np.isnan(fm))
+        lower = fa * fm <= 0.0
+        upper = active & ~lower
+        b = np.where(active & lower, m, b)
+        a = np.where(upper, m, a)
+        fa = np.where(upper, fm, fa)
     theta_s = 0.5 * (a + b)
-    n_s, theta_i, _ = _kinematics(cfg, k_p, f, extraordinary, theta_s)
+    n_s, theta_i, _ = _kinematics(cfg, k_p, photons, extraordinary, theta_s)
     sin_out = n_s * np.sin(theta_s)
     ok &= np.abs(sin_out) <= 1.0  # total internal reflection at the exit face; NaN fails too
-    out = np.full((3, v.shape[0]), np.nan)
+    out = np.full((3, f.size), np.nan)
     out[:, live[ok]] = theta_s[ok], theta_i[ok], np.degrees(np.arcsin(sin_out[ok]))
     return out
 

@@ -30,6 +30,7 @@ from hombeat.phase_match import (
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+import block_phase_match_reference  # noqa: E402
 import scalar_phase_match  # noqa: E402
 
 # Frozen from the published coefficient set, evaluated independently with
@@ -220,6 +221,30 @@ def test_array_solve_matches_scalar_reference(monkeypatch):
                         assert [f"{v:.12g}" for v in row] == [f"{v:.12g}" for v in want]
                         solved += 1
     assert solved > 100 and unsolved > 100
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 128])
+def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
+    # chunks of 1 and 5 put brackets on chunk boundaries, where the carried
+    # column closes them; 128 scans all but the first angle in one chunk
+    monkeypatch.setattr(phase_match, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(phase_match, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(20261018)
+    kato = SellmeierSet(*KATO_1986, provenance="Kato 1986")
+    cuts = [40.0, 44.5, 85.0, 89.0, *rng.uniform(40.0, 89.0, 4).tolist()]
+    solved = unsolved = 0
+    for cut in cuts:
+        for sellmeier in (BBO_EIMERL_1987, kato):
+            cfg = CrystalConfig(cut, PUMP_THZ, sellmeier)
+            for lo, hi in (WINDOW, (200.0, 540.0)):
+                freqs = np.concatenate([[lo, hi, PUMP_THZ], rng.uniform(lo, hi, 18)])
+                for ray in ("ordinary", "extraordinary"):
+                    got = phase_match._solve(cfg, freqs, ray)
+                    want = block_phase_match_reference.solve(cfg, freqs, ray)
+                    assert np.array_equal(got, want, equal_nan=True), (cut, lo, ray)
+                    solved += int(np.isfinite(got[2]).sum())
+                    unsolved += int(np.isnan(got[2]).sum())
+    assert solved > 200 and unsolved > 200
 
 
 def test_solve_emission_point_is_the_one_element_array_solve():
