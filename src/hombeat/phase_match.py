@@ -32,8 +32,7 @@ _MAX_INTERNAL_ANGLE_RAD = math.radians(10.0)
 _BISECTION_TOL_RAD = 1e-10
 _COARSE_SCAN_STEPS = 128
 _SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _COARSE_SCAN_STEPS
-# Trial angles evaluated per scan step; a row stops scanning at its bracket.
-_SCAN_CHUNK = 16
+_SCAN_CHUNK = 16  # trial angles per scan step; a row stops scanning at its bracket
 # Frequencies solved per step: bounds the scan's memory at any number of points.
 _BLOCK_ROWS = 1024
 
@@ -150,6 +149,8 @@ def _sellmeier_index(coef: tuple[float, float, float, float], lam_um):
 def _ellipsoid_index(no, ne, theta_rad):
     """Index-ellipsoid index at theta_rad from the optic axis; NaN off [0, pi/2]."""
     n = 1.0 / np.sqrt((np.cos(theta_rad) / no) ** 2 + (np.sin(theta_rad) / ne) ** 2)
+    if np.all((0.0 < theta_rad) & (theta_rad < math.pi / 2.0)):
+        return n  # no angle on the axis, in the plane or out of range: nothing to replace
     n = np.where(theta_rad == 0.0, no, np.where(theta_rad == math.pi / 2.0, ne, n))
     return np.where((0.0 <= theta_rad) & (theta_rad <= math.pi / 2.0), n, np.nan)
 
@@ -201,11 +202,10 @@ def _pump_wavenumber(cfg: CrystalConfig) -> float:
 
 
 def _photons(cfg: CrystalConfig, f_signal: np.ndarray) -> np.ndarray:
-    """Rows: signal frequency, ordinary and principal extraordinary index of signal, of idler."""
-    o, e = cfg.sellmeier.ordinary, cfg.sellmeier.extraordinary
-    lam_s, lam_i = wavelength_um(f_signal), wavelength_um(cfg.pump_frequency_thz - f_signal)
-    return np.stack([f_signal, _sellmeier_index(o, lam_s), _sellmeier_index(e, lam_s),
-                     _sellmeier_index(o, lam_i), _sellmeier_index(e, lam_i)])
+    """Rows: signal frequency; ordinary index of signal, idler; extraordinary of signal, idler."""
+    lam = wavelength_um(np.stack([f_signal, cfg.pump_frequency_thz - f_signal]))
+    return np.vstack([f_signal, _sellmeier_index(cfg.sellmeier.ordinary, lam),
+                      _sellmeier_index(cfg.sellmeier.extraordinary, lam)])
 
 
 def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, theta_s):
@@ -216,7 +216,7 @@ def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, th
     wave number at its angle, so a root puts both photons on shell.  NaN
     marks a wavelength or angle outside the dispersion data.
     """
-    f_signal, no_s, ne_s, no_i, ne_i = photons
+    f_signal, no_s, no_i, ne_s, ne_i = photons
     cut = math.radians(cfg.cut_angle_deg)
     n_s = _ellipsoid_index(no_s, ne_s, cut + theta_s) if extraordinary else no_s
     k_s = n_s * f_signal

@@ -226,7 +226,7 @@ def test_array_solve_matches_scalar_reference(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 5, 128])
 def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
     # chunks of 1 and 5 put brackets on chunk boundaries, where the carried
-    # column closes them; 128 scans all but the first angle in one chunk
+    # column closes them; 128 leaves only the last angle to a second chunk
     monkeypatch.setattr(phase_match, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(phase_match, "_SCAN_CHUNK", chunk)
     rng = np.random.default_rng(20261018)
