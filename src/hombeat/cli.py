@@ -38,46 +38,12 @@ from . import svgplot
 
 DEGENERATE_CENTER_RAD_S = 2.0 * math.pi * 370.44e12
 
-# Built-in defaults shared across commands; a JSON config file may override
-# any of them, and explicit flags override the file.
-DEFAULTS = {
-    "pipeline": {"l": 2, "omega": 1e12, "center": DEGENERATE_CENTER_RAD_S},
-    "jsa": {
-        "sigma": 1e12,
-        "gamma": 0.1,
-        "a_coef": None,  # None means 0.7 / (sigma * sqrt(2 * gamma))
-        "rde_l": 0,
-        "rde_omega": 0.0,
-        "half_width": 6e12,
-        "grid": 256,
-        "out": "jsa.csv",
-        "svg": None,
-    },
-    "hom": {
-        "l": 2,
-        "omega": 0.0,
-        "tau_c": 1e-12,
-        "points": 601,
-        "tau_span": 3e-12,
-        "method": "closed",
-        "out": "hom.csv",
-        "svg": None,
-    },
-    "phasematch": {
-        "cut_angle": None,
-        "pump_thz": 740.88,
-        "f_min": 330.0,
-        "f_max": 410.0,
-        "points": 801,
-        "out": "phasematch.csv",
-        "svg": None,
-    },
-    "estimate": {"input": None, "out": None},
-}
 # phasematch also reads a custom dispersion set from the config file
 _SELLMEIER_KEYS = {"sellmeier_ordinary", "sellmeier_extraordinary", "sellmeier_provenance"}
-_INTEGER_KEYS = {"l", "rde_l", "grid", "points"}
-_STRING_KEYS = {"out", "svg", "input", "method"}
+# the row count of the largest CSV that jsa writes (a 4096 x 4096 grid)
+MAX_POINTS = 4096 * 4096
+# the JSON types a config value of each row type may have; a tuple of choices is a string
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
 
 
 def _preamble(command: str) -> dict:
@@ -110,35 +76,39 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
+def _typed(key: str, kind, value):
+    """``value`` converted to its row's type, which a config value's JSON type must match."""
+    json_type, name = _JSON_TYPES.get(kind, _JSON_TYPES[str])
+    if isinstance(value, bool) or not isinstance(value, json_type):
+        raise ValueError(f"config key {key} must be {name}, got {value!r}")
+    if isinstance(value, str):
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number within the float range")
+    return number if kind is float else value
+
+
+def _resolve(args: argparse.Namespace) -> dict:
     """Layer values: explicit flag > config file > built-in default."""
-    config = _load_config(getattr(args, "config", None))
-    allowed = set(DEFAULTS[command]) | (_SELLMEIER_KEYS if command == "phasematch" else set())
-    unknown = set(config) - allowed
+    rows = COMMANDS[args.command][2]
+    config = _load_config(args.config)
+    extra = _SELLMEIER_KEYS if args.command == "phasematch" else set()
+    unknown = set(config) - {row[0] for row in rows} - extra
     if unknown:
-        raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
-    for key in set(config) - _SELLMEIER_KEYS:
-        value = config[key]
-        if value is None and DEFAULTS[command][key] is None:
-            continue  # the built-in "not set"
-        if key in _INTEGER_KEYS:
-            kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-        elif key in _STRING_KEYS:
-            kind, ok = "a string", isinstance(value, str)
-        else:
-            kind, ok = "a number", _is_number(value)
-        if not ok:
-            raise ValueError(f"config key {key} must be {kind}, got {value!r}")
-    resolved = {}
-    for key, default in DEFAULTS[command].items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-    resolved["_config"] = config
+        raise ValueError(f"unknown config keys for {args.command}: {', '.join(sorted(unknown))}")
+    resolved = {"_config": config}
+    for key, kind, default, _ in rows:
+        value = config.get(key, default)
+        if value is not None or default is not None:  # null is accepted where the default is unset
+            value = _typed(key, kind, value)  # a config value is checked even where a flag wins
+        flag = getattr(args, key)
+        resolved[key] = value if flag is None else _typed(key, kind, flag)
     return resolved
 
 
@@ -168,39 +138,34 @@ _STAGE_TITLES = (
 )
 
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    p = _resolve(args, "pipeline")
-    l = int(p["l"])
-    omega = float(p["omega"])
-    center = float(p["center"])
-    stages = run_pipeline(l, omega, center)
+def _count(p: dict, key: str, lo: int, hi: int) -> int:
+    """A sample count, checked before anything is allocated per sample."""
+    if not lo <= p[key] <= hi:
+        raise ValueError(f"{key} must lie in [{lo}, {hi}], got {p[key]}")
+    return p[key]
+
+
+def cmd_pipeline(p: dict) -> int:
+    stages = run_pipeline(p["l"], p["omega"], p["center"])
     print(f"# tool=hombeat version={__version__} command=pipeline")
-    print(f"# l={l} omega_rot={p['omega']} center_frequency={p['center']}")
+    print(f"# l={p['l']} omega_rot={p['omega']} center_frequency={p['center']}")
     for title, state in zip(_STAGE_TITLES, stages):
         print(f"\n== {title} ==")
         print(state.describe())
     return 0
 
 
-def cmd_jsa(args: argparse.Namespace) -> int:
-    p = _resolve(args, "jsa")
-    n = int(p["grid"])
-    if not 16 <= n <= 4096:
-        raise ValueError(f"grid size must lie in [16, 4096], got {n}")
-    sigma = float(p["sigma"])
-    gamma = float(p["gamma"])
-    a_coef = p["a_coef"]
+def cmd_jsa(p: dict) -> int:
+    n = _count(p, "grid", 16, 4096)
+    sigma, gamma, a_coef, rde_l = p["sigma"], p["gamma"], p["a_coef"], p["rde_l"]
     if a_coef is None:
         a_coef = 0.7 / (sigma * math.sqrt(2.0 * gamma))
-    a_coef = float(a_coef)
-    rde_l = int(p["rde_l"])
     if rde_l < 0:
         raise ValueError(f"rde-l must be >= 0, got {rde_l}")
-    rde_omega = float(p["rde_omega"])
     pump = PumpSpectrum(center=DEGENERATE_CENTER_RAD_S, sigma=sigma)
     pm = PhaseMatchGaussian(gamma=gamma, a_coef=a_coef)
-    shift = RdeShift(l=rde_l, omega_rot=rde_omega) if rde_l > 0 else None
-    grid = jsa_grid(pump, pm, shift, float(p["half_width"]), n)
+    shift = RdeShift(l=rde_l, omega_rot=p["rde_omega"]) if rde_l > 0 else None
+    grid = jsa_grid(pump, pm, shift, p["half_width"], n)
 
     nu1 = np.repeat(grid.axis1, n)
     nu2 = np.tile(grid.axis2, n)
@@ -211,8 +176,8 @@ def cmd_jsa(args: argparse.Namespace) -> int:
         "a_coef": a_coef,
         "b_coef": -a_coef,
         "rde_l": rde_l,
-        "rde_omega_rad_s": rde_omega,
-        "half_width_rad_s": float(p["half_width"]),
+        "rde_omega_rad_s": p["rde_omega"],
+        "half_width_rad_s": p["half_width"],
         "grid": n,
     }
     write_csv(p["out"], {"nu1": nu1, "nu2": nu2, "amplitude": grid.values.ravel()}, meta)
@@ -229,28 +194,24 @@ def cmd_jsa(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_hom(args: argparse.Namespace) -> int:
-    p = _resolve(args, "hom")
-    points = int(p["points"])
-    if points < 2:
-        raise ValueError("points must be at least 2")
-    tau_span = float(p["tau_span"])
+def cmd_hom(p: dict) -> int:
+    points = _count(p, "points", 2, MAX_POINTS)
+    tau_span = p["tau_span"]
     if not tau_span > 0.0:
         raise ValueError("tau span must be positive")
-    method = str(p["method"])
     cfg = HomConfig(
-        tau_c=float(p["tau_c"]),
-        l=int(p["l"]),
-        omega_rot=float(p["omega"]),
-        tau_grid=tuple(np.linspace(-tau_span, tau_span, points)),
+        tau_c=p["tau_c"],
+        l=p["l"],
+        omega_rot=p["omega"],
+        tau_grid=np.linspace(-tau_span, tau_span, points),
     )
-    result = trace(cfg, method=method)
+    result = trace(cfg, method=p["method"])
     meta = {
         **_preamble("hom"),
         "tau_c": cfg.tau_c,
         "l": cfg.l,
         "omega_rot": cfg.omega_rot,
-        "method": method,
+        "method": p["method"],
         "points": points,
         "tau_span": tau_span,
         "window_exceeded": result.window_exceeded,
@@ -267,22 +228,20 @@ def cmd_hom(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_phasematch(args: argparse.Namespace) -> int:
-    p = _resolve(args, "phasematch")
+def cmd_phasematch(p: dict) -> int:
     if p["cut_angle"] is None:
         raise ValueError("--cut-angle is required (degrees, strictly between 0 and 90)")
     sellmeier = _sellmeier_from_config(p["_config"])
     cfg = CrystalConfig(
-        cut_angle_deg=float(p["cut_angle"]),
-        pump_frequency_thz=float(p["pump_thz"]),
+        cut_angle_deg=p["cut_angle"],
+        pump_frequency_thz=p["pump_thz"],
         sellmeier=sellmeier,
     )
-    f_min, f_max = float(p["f_min"]), float(p["f_max"])
-    points = int(p["points"])
+    f_min, f_max, points = p["f_min"], p["f_max"], _count(p, "points", 2, MAX_POINTS)
     o_curve, e_curve = emission_curves(cfg, (f_min, f_max), points)
     crossing = find_intersection(o_curve, e_curve)
 
-    freqs = np.array(frequency_grid(f_min, f_max, points))
+    freqs = frequency_grid(f_min, f_max, points)
     # one column per ray, NaN (an empty cell, a gap in the plot) where unsolved
     angle_o, angle_e = np.full((2, points), np.nan)
     for angles, curve in ((angle_o, o_curve), (angle_e, e_curve)):
@@ -321,8 +280,7 @@ def cmd_phasematch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
-    p = _resolve(args, "estimate")
+def cmd_estimate(p: dict) -> int:
     if p["input"] is None:
         raise ValueError("--input trace CSV is required")
     try:
@@ -334,7 +292,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     document = {
         "tool": "hombeat",
         "version": __version__,
-        "input": str(p["input"]),
+        "input": p["input"],
         "beat_rad_per_s": result.beat,
         "tau_c_s": result.tau_c_hat,
         "visibility": result.visibility_hat,
@@ -352,12 +310,54 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0 if result.converged else 4
 
 
-def _add_config_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--config",
-        metavar="JSON",
-        help="JSON file presetting any flag of this command; explicit flags win",
-    )
+# Every command with its function, its help and one row per parameter:
+# (key, type, default, help).  The flag is --key with "-" for "_", a config
+# file key takes its flag's JSON type, a tuple type lists the accepted
+# strings, and a None default means "not set".
+COMMANDS = {
+    "pipeline": (cmd_pipeline, "print the four pipeline states", (
+        ("l", int, 2, "q-plate topological charge (integer >= 0)"),
+        ("omega", float, 1e12, "plate rotation rate, rad/s"),
+        ("center", float, DEGENERATE_CENTER_RAD_S, "degenerate center frequency, rad/s"),
+    )),
+    "jsa": (cmd_jsa, "export the joint spectral amplitude grid", (
+        ("sigma", float, 1e12, "pump spectral width, rad/s"),
+        ("gamma", float, 0.1, "phase-matching Gaussian coefficient"),
+        ("a_coef", float, None, "phase-matching linear coefficient A, s/rad (B = -A); "
+                                "default 0.7/(sigma*sqrt(2*gamma))"),
+        ("rde_l", int, 0, "OAM charge of the rotating plate"),
+        ("rde_omega", float, 0.0, "plate rotation rate, rad/s"),
+        ("half_width", float, 6e12, "grid half width, rad/s"),
+        ("grid", int, 256, "grid points per axis, in [16, 4096]"),
+        ("out", str, "jsa.csv", "output CSV path"),
+        ("svg", str, None, "optional SVG heatmap path"),
+    )),
+    "hom": (cmd_hom, "export a coincidence trace", (
+        ("l", int, 2, "q-plate topological charge (integer >= 0)"),
+        ("omega", float, 0.0, "plate rotation rate, rad/s"),
+        ("tau_c", float, 1e-12, "envelope time, s"),
+        ("points", int, 601, "number of delay samples"),
+        ("tau_span", float, 3e-12,
+         "half span of the delay scan, s (grid covers [-span, +span])"),
+        ("method", ("closed", "numeric"), "closed",
+         "closed form or quadrature of the overlap integral"),
+        ("out", str, "hom.csv", "output CSV path"),
+        ("svg", str, None, "optional SVG line plot path"),
+    )),
+    "phasematch": (cmd_phasematch, "export crystal emission curves (THz axis)", (
+        ("cut_angle", float, None, "optic-axis cut angle, degrees, strictly between 0 and 90"),
+        ("pump_thz", float, 740.88, "pump frequency, THz"),
+        ("f_min", float, 330.0, "lowest signal frequency, THz"),
+        ("f_max", float, 410.0, "highest signal frequency, THz"),
+        ("points", int, 801, "number of frequency samples"),
+        ("out", str, "phasematch.csv", "output CSV path"),
+        ("svg", str, None, "optional SVG line plot path"),
+    )),
+    "estimate": (cmd_estimate, "fit beat, envelope time and visibility to a trace CSV", (
+        ("input", str, None, "trace CSV with tau_s and p columns"),
+        ("out", str, None, "result JSON path (default: standard output)"),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,61 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hombeat {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    sp = sub.add_parser("pipeline", help="print the four pipeline states")
-    sp.add_argument("--l", type=int, help="q-plate topological charge (integer >= 0)")
-    sp.add_argument("--omega", type=float, help="plate rotation rate, rad/s")
-    sp.add_argument("--center", type=float, help="degenerate center frequency, rad/s")
-    _add_config_flag(sp)
-    sp.set_defaults(func=cmd_pipeline)
-
-    sp = sub.add_parser("jsa", help="export the joint spectral amplitude grid")
-    sp.add_argument("--sigma", type=float, help="pump spectral width, rad/s")
-    sp.add_argument("--gamma", type=float, help="phase-matching Gaussian coefficient")
-    sp.add_argument("--a-coef", dest="a_coef", type=float,
-                    help="phase-matching linear coefficient A, s/rad (B = -A); "
-                         "default 0.7/(sigma*sqrt(2*gamma))")
-    sp.add_argument("--rde-l", dest="rde_l", type=int, help="OAM charge of the rotating plate")
-    sp.add_argument("--rde-omega", dest="rde_omega", type=float, help="plate rotation rate, rad/s")
-    sp.add_argument("--half-width", dest="half_width", type=float, help="grid half width, rad/s")
-    sp.add_argument("--grid", type=int, help="grid points per axis, in [16, 4096]")
-    sp.add_argument("--out", help="output CSV path")
-    sp.add_argument("--svg", help="optional SVG heatmap path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=cmd_jsa)
-
-    sp = sub.add_parser("hom", help="export a coincidence trace")
-    sp.add_argument("--l", type=int, help="q-plate topological charge (integer >= 0)")
-    sp.add_argument("--omega", type=float, help="plate rotation rate, rad/s")
-    sp.add_argument("--tau-c", dest="tau_c", type=float, help="envelope time, s")
-    sp.add_argument("--points", type=int, help="number of delay samples")
-    sp.add_argument("--tau-span", dest="tau_span", type=float,
-                    help="half span of the delay scan, s (grid covers [-span, +span])")
-    sp.add_argument("--method", choices=["closed", "numeric"],
-                    help="closed form or quadrature of the overlap integral")
-    sp.add_argument("--out", help="output CSV path")
-    sp.add_argument("--svg", help="optional SVG line plot path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=cmd_hom)
-
-    sp = sub.add_parser("phasematch", help="export crystal emission curves (THz axis)")
-    sp.add_argument("--cut-angle", dest="cut_angle", type=float,
-                    help="optic-axis cut angle, degrees, strictly between 0 and 90")
-    sp.add_argument("--pump-thz", dest="pump_thz", type=float, help="pump frequency, THz")
-    sp.add_argument("--f-min", dest="f_min", type=float, help="lowest signal frequency, THz")
-    sp.add_argument("--f-max", dest="f_max", type=float, help="highest signal frequency, THz")
-    sp.add_argument("--points", type=int, help="number of frequency samples")
-    sp.add_argument("--out", help="output CSV path")
-    sp.add_argument("--svg", help="optional SVG line plot path")
-    _add_config_flag(sp)
-    sp.set_defaults(func=cmd_phasematch)
-
-    sp = sub.add_parser("estimate", help="fit beat, envelope time and visibility to a trace CSV")
-    sp.add_argument("--input", help="trace CSV with tau_s and p columns")
-    sp.add_argument("--out", help="result JSON path (default: standard output)")
-    _add_config_flag(sp)
-    sp.set_defaults(func=cmd_estimate)
-
+    for command, (_, command_help, rows) in COMMANDS.items():
+        sp = sub.add_parser(command, help=command_help)
+        for key, kind, _, help_text in rows:
+            choices = kind if isinstance(kind, tuple) else None
+            sp.add_argument("--" + key.replace("_", "-"), type=None if choices else kind,
+                            choices=choices, help=help_text)
+        sp.add_argument(
+            "--config",
+            metavar="JSON",
+            help="JSON file presetting any flag of this command; explicit flags win",
+        )
     return parser
 
 
@@ -434,11 +390,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_resolve(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

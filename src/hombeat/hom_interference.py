@@ -46,7 +46,7 @@ class HomConfig:
     tau_c: float  # s
     l: int
     omega_rot: float  # rad/s
-    tau_grid: tuple[float, ...]  # s
+    tau_grid: np.ndarray  # s, any sequence of delays is stored as a float array
 
     def __post_init__(self):
         if not (self.tau_c > 0.0 and math.isfinite(self.tau_c)):
@@ -55,9 +55,10 @@ class HomConfig:
             raise ValueError("l must be an integer >= 0")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
-        if not all(math.isfinite(t) for t in self.tau_grid):
+        tau_grid = np.asarray(self.tau_grid, dtype=float)
+        if not np.isfinite(tau_grid).all():
             raise ValueError("tau grid must contain finite values")
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
+        object.__setattr__(self, "tau_grid", tau_grid)
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def trace(cfg: HomConfig, method: str = "closed") -> HomTrace:
     """Scan the delay grid with the chosen evaluation route."""
     if method not in ("closed", "numeric"):
         raise ValueError("method must be 'closed' or 'numeric'")
-    taus = np.asarray(cfg.tau_grid, dtype=float)
+    taus = cfg.tau_grid
     if method == "closed":
         p = coincidence_rde(taus, cfg.tau_c, cfg.l, cfg.omega_rot)
     else:

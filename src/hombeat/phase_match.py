@@ -325,11 +325,11 @@ def momentum_residuals(
     return abs(trans) / k_p, abs(longi) / k_p
 
 
-def frequency_grid(lo: float, hi: float, n_points: int) -> list[float]:
+def frequency_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """The exact sample frequencies emission_curves uses for a window."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    return [lo + (hi - lo) * i / (n_points - 1) for i in range(n_points)]
+    return lo + (hi - lo) * np.arange(n_points) / (n_points - 1)
 
 
 def emission_curves(
@@ -347,7 +347,7 @@ def emission_curves(
     pump = cfg.pump_frequency_thz
     if not (pump / 4.0 <= lo < hi <= 3.0 * pump / 4.0):
         raise ValueError("frequency range must lie inside [pump/4, 3*pump/4]")
-    freqs = np.array(frequency_grid(lo, hi, n_points))
+    freqs = frequency_grid(lo, hi, n_points)
     curves = []
     for ray in ("ordinary", "extraordinary"):
         outside = _solve(cfg, freqs, ray)[2]

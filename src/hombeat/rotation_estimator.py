@@ -98,7 +98,7 @@ def synthesize_trace(cfg: HomConfig, noise_sigma: float, seed: int) -> NoisyTrac
     """Model trace plus seeded additive Gaussian noise; fully deterministic."""
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
-    tau = np.asarray(cfg.tau_grid, dtype=float)
+    tau = cfg.tau_grid
     p = coincidence_rde(tau, cfg.tau_c, cfg.l, cfg.omega_rot)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -334,7 +334,8 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     """
     if tau_c_hat is None:
         tau_c_hat = fit_envelope(trace).tau_c_hat
-    if not (math.isfinite(tau_c_hat) and tau_c_hat > 0.0):
+    # an envelope so wide that its square overflows leaves no beat to resolve
+    if not (tau_c_hat > 0.0 and math.isfinite(tau_c_hat * tau_c_hat)):
         return 0.0
     keep = np.abs(trace.tau) <= 2.5 * tau_c_hat
     if keep.sum() < 16:

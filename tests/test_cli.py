@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import hombeat
-from hombeat.cli import main
+from hombeat import cli
+from hombeat.cli import _build_parser, main
 from hombeat.dataio import read_csv, write_csv
 from hombeat.hom_interference import coincidence_rde
 
@@ -341,6 +343,30 @@ def test_estimate_malformed_file_exits_2(tmp_path, capsys):
     assert run(["estimate", "--input", str(bad)]) == 2
 
 
+def _constant_trace(tmp_path, value):
+    path = tmp_path / "constant.csv"
+    write_csv(path, {"tau_s": np.linspace(-3e-12, 3e-12, 200), "p": np.full(200, value)}, {})
+    return path
+
+
+def test_estimate_overflowing_trace_exits_4(tmp_path):
+    # the envelope fit of this trace is about 2.5e188 s wide: its square overflows
+    out = tmp_path / "result.json"
+    with np.errstate(all="ignore"):
+        code = run(["estimate", "--input", str(_constant_trace(tmp_path, 1e200)),
+                    "--out", str(out)])
+    assert code == 4
+    assert json.loads(out.read_text())["converged"] is False
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: converged does not require V in [0, 1]; "
+                   "this flat trace reports converged with V = 11")
+def test_estimate_converged_only_with_visibility_in_unit_interval(tmp_path, capsys):
+    code = run(["estimate", "--input", str(_constant_trace(tmp_path, -5.0))])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4 or 0.0 <= payload["visibility"] <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # config layering and reproducibility
 
@@ -399,6 +425,123 @@ def test_config_accepts_null_where_the_default_is_unset(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["hom", "--config", str(path), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def _options():
+    """(command, option dest, flag, flag action) for every option but --help and --config."""
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.dest, action.option_strings[0], action)
+            for command, sub in subparsers.choices.items() for action in sub._actions
+            if action.dest not in ("help", "config")]
+
+
+def _value_of_flag_type(action):
+    if action.choices:
+        return action.choices[-1]
+    return {int: 17, float: 0.5, str: "x.out", None: "x.out"}[action.type]
+
+
+def _outcome(directory, argv, capsys):
+    # exit code, output and every file written, with the timestamp lines dropped
+    directory.mkdir()
+    os.chdir(directory)
+    with np.errstate(all="ignore"):
+        code = run(argv)
+    captured = capsys.readouterr()
+    files = {path.name: [line for line in path.read_bytes().splitlines()
+                         if not line.startswith(b"# timestamp=")]
+             for path in sorted(directory.iterdir())}
+    return code, captured.out, captured.err, files
+
+
+_OPTIONS = _options()
+
+
+@pytest.mark.parametrize("command,key,flag,action", _OPTIONS,
+                         ids=[f"{c}-{k}" for c, k, _, _ in _OPTIONS])
+def test_every_flag_is_a_config_key_of_its_type(tmp_path, monkeypatch, capsys, command, key,
+                                                flag, action):
+    monkeypatch.chdir(tmp_path)
+    value = _value_of_flag_type(action)
+    base = [command] + (["--cut-angle", "45"] if command == "phasematch" and key != "cut_angle"
+                        else [])
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}))
+    by_flag = _outcome(tmp_path / "flag", base + [flag, str(value)], capsys)
+    by_config = _outcome(tmp_path / "config", base + ["--config", str(config)], capsys)
+    assert "config key" not in by_config[2]
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command", ["pipeline", "jsa", "hom", "phasematch", "estimate"])
+def test_config_value_of_another_json_type_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "x.out"
+    outputs = [] if command == "pipeline" else ["--out", str(out)]
+    for _, key, _, action in [option for option in _OPTIONS if option[0] == command]:
+        number = action.type in (int, float)
+        wrong = [True, [1], {"a": 1}] + (["1"] if number else [1.5])
+        wrong += [1.5] if action.type is int else []
+        for value in wrong:
+            config.write_text(json.dumps({key: value}))
+            assert run([command, "--config", str(config)] + outputs) == 2, (key, value)
+            assert "must be a" in capsys.readouterr().err, (key, value)
+            assert not out.exists()
+
+
+_DIGITS_401 = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [(["pipeline", "--l", _DIGITS_401], None),
+     (["pipeline"], f'{{"omega": {_DIGITS_401}}}'),
+     (["pipeline"], f'{{"center": {_DIGITS_401}.5}}'),
+     (["hom"], f'{{"tau_c": {_DIGITS_401}}}'),
+     (["hom", "--l", _DIGITS_401], None),
+     (["jsa", "--rde-l", _DIGITS_401, "--rde-omega", "1e12"], None)],
+    ids=["pipeline-flag-l", "pipeline-json-omega", "pipeline-json-center-float", "hom-json-tau_c",
+         "hom-flag-l", "jsa-flag-rde_l"],
+)
+def test_numbers_beyond_the_float_range_exit_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "x.csv"
+    outputs = [] if argv[0] == "pipeline" else ["--out", str(out)]
+    assert run(argv + outputs) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [(["hom", "--points", "16777217"], None),
+     (["phasematch", "--cut-angle", "45", "--points", "16777217"], None),
+     (["hom"], {"points": 10**30}),
+     (["phasematch", "--cut-angle", "45"], {"points": 10**30})],
+    ids=["hom-flag", "phasematch-flag", "hom-json", "phasematch-json"],
+)
+def test_sample_counts_above_4096_squared_exit_2(tmp_path, monkeypatch, capsys, argv, config):
+    # nothing may be allocated per point: every step that would raises instead
+    def never(*args, **kwargs):
+        raise AssertionError("started the computation")
+
+    for name in ("trace", "emission_curves", "frequency_grid"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.np, "linspace", never)
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "points must lie in [2, 16777216]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_reproduce_up_to_timestamp(tmp_path):

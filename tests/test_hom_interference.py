@@ -208,6 +208,17 @@ def test_config_rejects_non_finite_parameters():
             HomConfig(tau_c=tau_c, l=2, omega_rot=omega, tau_grid=grid(1e-12, 33))
 
 
+def test_config_stores_the_delay_grid_as_a_float_array():
+    taus = np.linspace(-1e-12, 1e-12, 33)
+    for given in (taus, tuple(taus), list(taus)):
+        cfg = HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=given)
+        assert cfg.tau_grid.dtype == np.float64
+        assert np.array_equal(cfg.tau_grid, taus)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau grid"):
+            HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=(0.0, bad))
+
+
 def test_trace_method_validation():
     cfg = HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=grid(1e-12, 33))
     with pytest.raises(ValueError):
