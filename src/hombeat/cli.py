@@ -12,29 +12,58 @@ failure, 4 non-convergence (estimate only).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
-from .dataio import read_hom_trace, write_csv
-from .hom_interference import HomConfig, QuadratureError, trace
-from .hybrid_state import run_pipeline
-from .joint_spectrum import PhaseMatchGaussian, PumpSpectrum, RdeShift, jsa_grid
-from .phase_match import (
-    BBO_EIMERL_1987,
-    CrystalConfig,
-    NoSolutionError,
-    SellmeierSet,
-    emission_curves,
-    find_intersection,
-    frequency_grid,
-)
-from .rotation_estimator import NoisyTrace, estimate
-from . import svgplot
+from .errors import NoSolutionError, QuadratureError
+
+# What the commands take from other modules, as "module:attribute" (a bare
+# module is bound whole).  Each command binds the names of the modules it runs
+# when it starts, and reading one as an attribute of this module binds it too
+# (PEP 562), so a process imports only what its command runs.  A name already
+# bound here, such as a wrapper set from outside, wins.
+_LAZY = {
+    "np": "numpy",
+    "svgplot": ".svgplot",
+    "read_hom_trace": ".dataio:read_hom_trace",
+    "write_csv": ".dataio:write_csv",
+    "HomConfig": ".hom_interference:HomConfig",
+    "trace": ".hom_interference:trace",
+    "run_pipeline": ".hybrid_state:run_pipeline",
+    "PhaseMatchGaussian": ".joint_spectrum:PhaseMatchGaussian",
+    "PumpSpectrum": ".joint_spectrum:PumpSpectrum",
+    "RdeShift": ".joint_spectrum:RdeShift",
+    "jsa_grid": ".joint_spectrum:jsa_grid",
+    "BBO_EIMERL_1987": ".phase_match:BBO_EIMERL_1987",
+    "CrystalConfig": ".phase_match:CrystalConfig",
+    "SellmeierSet": ".phase_match:SellmeierSet",
+    "emission_curves": ".phase_match:emission_curves",
+    "find_intersection": ".phase_match:find_intersection",
+    "frequency_grid": ".phase_match:frequency_grid",
+    "NoisyTrace": ".rotation_estimator:NoisyTrace",
+    "estimate": ".rotation_estimator:estimate",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, _, attribute = _LAZY[name].partition(":")
+    value = importlib.import_module(module, __package__)
+    globals()[name] = getattr(value, attribute) if attribute else value
+    return globals()[name]
+
+
+def _bind(*modules: str) -> None:
+    """Bind every name taken from ``modules`` that is not bound yet."""
+    for name, target in _LAZY.items():
+        if target.partition(":")[0] in modules and name not in globals():
+            __getattr__(name)
+
 
 DEGENERATE_CENTER_RAD_S = 2.0 * math.pi * 370.44e12
 
@@ -146,6 +175,7 @@ def _count(p: dict, key: str, lo: int, hi: int) -> int:
 
 
 def cmd_pipeline(p: dict) -> int:
+    _bind(".hybrid_state")
     stages = run_pipeline(p["l"], p["omega"], p["center"])
     print(f"# tool=hombeat version={__version__} command=pipeline")
     print(f"# l={p['l']} omega_rot={p['omega']} center_frequency={p['center']}")
@@ -156,13 +186,16 @@ def cmd_pipeline(p: dict) -> int:
 
 
 def cmd_jsa(p: dict) -> int:
+    _bind("numpy", ".joint_spectrum", ".dataio")
     n = _count(p, "grid", 16, 4096)
     sigma, gamma, a_coef, rde_l = p["sigma"], p["gamma"], p["a_coef"], p["rde_l"]
-    if a_coef is None:
-        a_coef = 0.7 / (sigma * math.sqrt(2.0 * gamma))
     if rde_l < 0:
         raise ValueError(f"rde-l must be >= 0, got {rde_l}")
-    pump = PumpSpectrum(center=DEGENERATE_CENTER_RAD_S, sigma=sigma)
+    pump = PumpSpectrum(center=DEGENERATE_CENTER_RAD_S, sigma=sigma)  # checks sigma first
+    if a_coef is None:
+        width = sigma * math.sqrt(2.0 * gamma) if gamma > 0.0 else 0.0
+        # PhaseMatchGaussian rejects the gamma, or the infinite A of a width that underflows
+        a_coef = 0.7 / width if width > 0.0 else math.inf
     pm = PhaseMatchGaussian(gamma=gamma, a_coef=a_coef)
     shift = RdeShift(l=rde_l, omega_rot=p["rde_omega"]) if rde_l > 0 else None
     grid = jsa_grid(pump, pm, shift, p["half_width"], n)
@@ -182,6 +215,7 @@ def cmd_jsa(p: dict) -> int:
     }
     write_csv(p["out"], {"nu1": nu1, "nu2": nu2, "amplitude": grid.values.ravel()}, meta)
     if p["svg"]:
+        _bind(".svgplot")
         svgplot.heatmap(
             p["svg"],
             grid.axis1,
@@ -195,6 +229,7 @@ def cmd_jsa(p: dict) -> int:
 
 
 def cmd_hom(p: dict) -> int:
+    _bind("numpy", ".hom_interference", ".dataio")
     points = _count(p, "points", 2, MAX_POINTS)
     tau_span = p["tau_span"]
     if not tau_span > 0.0:
@@ -218,6 +253,7 @@ def cmd_hom(p: dict) -> int:
     }
     write_csv(p["out"], {"tau_s": result.tau, "p": result.p}, meta)
     if p["svg"]:
+        _bind(".svgplot")
         svgplot.line_plot(
             p["svg"],
             [("coincidence", result.tau, result.p)],
@@ -229,6 +265,7 @@ def cmd_hom(p: dict) -> int:
 
 
 def cmd_phasematch(p: dict) -> int:
+    _bind("numpy", ".phase_match", ".dataio")
     if p["cut_angle"] is None:
         raise ValueError("--cut-angle is required (degrees, strictly between 0 and 90)")
     sellmeier = _sellmeier_from_config(p["_config"])
@@ -270,6 +307,7 @@ def cmd_phasematch(p: dict) -> int:
         meta,
     )
     if p["svg"]:
+        _bind(".svgplot")
         svgplot.line_plot(
             p["svg"],
             [("ordinary", freqs, angle_o), ("extraordinary", freqs, angle_e)],
@@ -281,6 +319,7 @@ def cmd_phasematch(p: dict) -> int:
 
 
 def cmd_estimate(p: dict) -> int:
+    _bind(".rotation_estimator", ".dataio")
     if p["input"] is None:
         raise ValueError("--input trace CSV is required")
     try:
@@ -301,7 +340,11 @@ def cmd_estimate(p: dict) -> int:
         "iterations": result.iterations,
         "below_resolution": result.below_resolution,
     }
-    text = json.dumps(document, indent=2)
+    # strict JSON: a non-finite number (an overflowing residual, say) is written as null
+    for key, value in document.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            document[key] = None
+    text = json.dumps(document, indent=2, allow_nan=False)
     if p["out"]:
         with open(p["out"], "w", newline="\n") as fh:
             fh.write(text + "\n")

@@ -17,9 +17,12 @@ circulates for the same envelope; the two differ by a fixed factor of about
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import QuadratureError
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -35,10 +38,6 @@ _PANEL_BUDGET = 4096
 _BLOCK = 1 << 20  # cosine-matrix entries evaluated at once
 
 
-class QuadratureError(RuntimeError):
-    """The overlap integral did not reach the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class HomConfig:
     """One coincidence scan: envelope time, plate parameters, delay grid."""
@@ -49,8 +48,9 @@ class HomConfig:
     tau_grid: np.ndarray  # s, any sequence of delays is stored as a float array
 
     def __post_init__(self):
-        if not (self.tau_c > 0.0 and math.isfinite(self.tau_c)):
-            raise ValueError("tau_c must be positive and finite")
+        # the dip divides by 2 tau_c**2; one that underflows makes it 0/0 at tau = 0
+        if not (self.tau_c > 0.0 and sys.float_info.min <= 2.0 * self.tau_c * self.tau_c < math.inf):
+            raise ValueError("tau_c must be positive and finite, with 2*tau_c**2 a normal float")
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise ValueError("l must be an integer >= 0")
         if not math.isfinite(self.omega_rot):

@@ -24,8 +24,9 @@ class PumpSpectrum:
     sigma: float  # rad/s
 
     def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError("pump sigma must be positive and finite")
+        # the envelope divides by 2 sigma**2, which must not overflow
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma * self.sigma)):
+            raise ValueError("pump sigma must be positive, with a finite square")
 
 
 @dataclass(frozen=True)

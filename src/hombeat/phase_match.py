@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoSolutionError
+
 SPEED_OF_LIGHT_UM_THZ = 299.792458  # c as um * THz
 
 # Supported wavelength window for the shipped dispersion data, micrometers.
@@ -35,10 +37,6 @@ _SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _CO
 _SCAN_CHUNK = 16  # trial angles per scan step; a row stops scanning at its bracket
 # Frequencies solved per step: bounds the scan's memory at any number of points.
 _BLOCK_ROWS = 1024
-
-
-class NoSolutionError(RuntimeError):
-    """No sampled frequency produced a solvable emission geometry."""
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,24 @@ def test_jsa_rejects_underflowing_pump_width(tmp_path):
     assert not out.exists()
 
 
+def test_jsa_zero_sigma_with_the_default_a_coef_exits_2(tmp_path, capsys):
+    # the default A = 0.7/(sigma*sqrt(2*gamma)) once divided by this sigma before it was checked
+    out = tmp_path / "x.csv"
+    assert run(["jsa", "--sigma", "0", "--gamma", "1e6", "--rde-l", "1", "--half-width", "40",
+                "--grid", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pump sigma must be positive, with a finite square\n"
+    assert not out.exists()
+
+
+def test_jsa_pump_width_with_an_overflowing_square_exits_2(tmp_path, capsys):
+    # the pump envelope divides by 2*sigma**2, which overflows a float here
+    out = tmp_path / "x.csv"
+    assert run(["jsa", "--sigma", "1e300", "--gamma", "1e300", "--a-coef", "1e6", "--rde-l", "1",
+                "--half-width", "5e-324", "--grid", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: pump sigma must be positive, with a finite square\n"
+    assert not out.exists()
+
+
 def test_jsa_unwritable_output_exits_3(tmp_path):
     missing_dir = tmp_path / "does" / "not" / "exist" / "jsa.csv"
     assert run(["jsa", "--grid", "16", "--out", str(missing_dir)]) == 3
@@ -142,6 +161,17 @@ def test_hom_rejects_bad_span(tmp_path):
 def test_hom_rejects_non_finite_parameters(tmp_path, flag, value):
     out = tmp_path / "x.csv"
     assert run(["hom", flag, value, "--points", "11", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_hom_rejects_tau_c_whose_square_underflows(tmp_path, capsys):
+    # 2*tau_c**2 underflows to 0, which made the dip 0/0 at tau = 0: an empty p cell
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hom", "--l", "3", "--tau-c", "5e-324", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau_c must be positive") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -357,6 +387,20 @@ def test_estimate_overflowing_trace_exits_4(tmp_path):
                     "--out", str(out)])
     assert code == 4
     assert json.loads(out.read_text())["converged"] is False
+
+
+def test_estimate_json_stays_strict_when_the_residual_overflows(tmp_path):
+    out = tmp_path / "result.json"
+    with np.errstate(all="ignore"):
+        code = run(["estimate", "--input", str(_constant_trace(tmp_path, 1e200)),
+                    "--out", str(out)])
+    assert code == 4
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["rms_residual"] is None
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: converged does not require V in [0, 1]; "
