@@ -92,6 +92,7 @@ def test_public_names_resolve_to_their_submodules():
         assert "numpy" not in sys.modules
         modules = {PUBLIC_NAMES!r}
         assert sorted(hombeat.__all__) == sorted(n for names in modules.values() for n in names)
+        assert set(hombeat.__all__) <= set(dir(hombeat))
         for module, names in modules.items():
             source = importlib.import_module("hombeat." + module)
             for name in names:
