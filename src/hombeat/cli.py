@@ -12,6 +12,7 @@ failure, 4 non-convergence (estimate only).
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import math
@@ -403,6 +404,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hombeat",

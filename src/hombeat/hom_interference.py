@@ -55,6 +55,8 @@ class HomConfig:
             raise ValueError("l must be an integer >= 0")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
+        if not math.isfinite(2.0 * self.l * self.omega_rot):
+            raise ValueError("beat 2*l*omega_rot must be finite")
         tau_grid = np.asarray(self.tau_grid, dtype=float)
         if not np.isfinite(tau_grid).all():
             raise ValueError("tau grid must contain finite values")
@@ -157,7 +159,9 @@ def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
         raise ValueError("l must be >= 0")
     beat = 2.0 * l * omega_rot
     tau = np.asarray(tau, dtype=float)
-    p = 0.5 - 0.5 * np.cos(beat * tau) * np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+    with np.errstate(over="ignore"):  # a tau*tau beyond the float range is an envelope of exactly 0
+        envelope = np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+    p = 0.5 - 0.5 * np.cos(beat * tau) * envelope
     return float(p) if p.ndim == 0 else p
 
 
@@ -173,32 +177,34 @@ def coincidence_numeric(
 
         1/2 - 1/2 * Re  integral  (1/2) [s+(x) s-(-x) + s-(x) s+(-x)] e^{2 i x tau} dx.
 
-    The symmetrized product is even in x, so the odd (sine) part integrates
-    to zero and only the cosine part is evaluated.  Integration runs over
-    eight amplitude widths beyond the branch centers with composite
-    Gauss-Legendre quadrature; a delay too long for a fixed panel budget
-    raises :class:`QuadratureError`.  ``tau`` is one delay (float result) or
-    an array of delays (array result of the same shape).
+    The symmetrized product is even in x for any pair of branches, so the
+    odd (sine) part integrates to zero and the cosine part is twice its
+    integral over x >= 0.  The window [-reach, reach] extends eight amplitude
+    widths beyond the farther branch center; its half [0, reach] is
+    integrated by composite Gauss-Legendre quadrature at the node density
+    the whole window needs.  A delay too long for a fixed panel budget over
+    the whole window raises :class:`QuadratureError`.  ``tau`` is one delay
+    (float result) or an array of delays (array result of the same shape).
     """
     s_plus, s_minus = spectra
     if abs(s_plus.sigma - s_minus.sigma) > 1e-9 * s_plus.sigma:
         raise ValueError("branch spectra must share a common width")
     amp_width = math.sqrt(2.0) * s_plus.sigma
-    lo = min(s_plus.center, s_minus.center) - 8.0 * amp_width
-    hi = max(s_plus.center, s_minus.center) + 8.0 * amp_width
+    reach = max(abs(s_plus.center), abs(s_minus.center)) + 8.0 * amp_width
 
     taus = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
-    periods = (hi - lo) * float(np.max(np.abs(taus), initial=0.0)) / math.pi
-    panels = max((hi - lo) / amp_width, periods * _NODES_PER_PERIOD / _GL_ORDERS[0])
+    # panels over the whole window [-reach, reach]; its half takes half of them
+    periods = 2.0 * reach * float(np.max(np.abs(taus), initial=0.0)) / math.pi
+    panels = max(2.0 * reach / amp_width, periods * _NODES_PER_PERIOD / _GL_ORDERS[0])
     if panels > _PANEL_BUDGET:
         raise QuadratureError(
             f"overlap quadrature needs {panels:.3g} panels, over the budget of {_PANEL_BUDGET}"
         )
-    panels = math.ceil(panels)
-    half = 0.5 * (hi - lo) / panels
-    mids = lo + half * (2.0 * np.arange(panels) + 1.0)
+    panels = math.ceil(0.5 * panels)
+    half = 0.5 * reach / panels
+    mids = half * (2.0 * np.arange(panels) + 1.0)
     flat = taus.ravel()
     overlap, check = np.empty(flat.size), np.empty(flat.size)
     for order, out in zip(_GL_ORDERS, (overlap, check)):
@@ -208,7 +214,7 @@ def coincidence_numeric(
             s_plus.amplitude(x) * s_minus.amplitude(-x)
             + s_minus.amplitude(x) * s_plus.amplitude(-x)
         )
-        weighted = np.tile(half * weights, panels) * sym
+        weighted = np.tile(2.0 * half * weights, panels) * sym
         rows = max(1, _BLOCK // x.size)
         for i in range(0, flat.size, rows):
             out[i : i + rows] = np.cos(2.0 * np.outer(flat[i : i + rows], x)) @ weighted

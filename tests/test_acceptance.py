@@ -232,6 +232,13 @@ def test_criterion_10d_beat_product_invariance(tau, l, omega):
     )
 
 
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(tau=_tau, l=_l, omega=_omega)
+def test_half_window_quadrature_matches_the_closed_form_on_criterion_10_draws(tau, l, omega):
+    spectra = hb.make_shifted_spectra(TAU_C, l, omega)
+    assert abs(hb.coincidence_numeric(tau, spectra) - hb.coincidence_rde(tau, TAU_C, l, omega)) < 1e-9
+
+
 def test_criterion_10_report():
     report(10, "norm preservation, plate round trip, OAM-frequency pairing and "
                "beat-product invariance held over 1000 randomized cases")

@@ -175,6 +175,29 @@ def test_hom_rejects_tau_c_whose_square_underflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_hom_rejects_a_beat_beyond_the_float_range(tmp_path, capsys):
+    # l and omega are each finite, but 2*l*omega is not: cos(inf*tau) made every p cell empty
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hom", "--l", "1" + "0" * 300, "--omega", "1e10", "--points", "11",
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beat 2*l*omega_rot must be finite\n"
+    assert not out.exists()
+
+
+def test_hom_delays_whose_square_overflows_warn_nothing(tmp_path, capsys):
+    # tau*tau overflows to inf beyond |tau| ~ 1.3e154 s; the envelope there is exactly 0
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hom", "--l", "17", "--tau-span", "1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, columns = read_csv(out)
+    assert np.isfinite(columns["p"]).all() and np.isfinite(columns["tau_s"]).all()
+    assert columns["p"][0] == columns["p"][-1] == 0.5
+
+
 def test_hom_numeric_failure_exits_3(tmp_path, capsys):
     # a one-second delay makes the overlap integrand oscillate beyond any
     # panel budget
@@ -603,6 +626,62 @@ def test_outputs_reproduce_up_to_timestamp(tmp_path):
         ]
 
     assert stripped(first) == stripped(second)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# every subcommand twice with other flags, a bad flag, --version and each --help;
+# estimate reads the traces the hom runs before it wrote
+_SESSION = [
+    ["pipeline", "--l", "1", "--omega", "5e11"],
+    ["pipeline", "--l", "3", "--center", "2e15"],
+    ["jsa", "--grid", "16", "--out", "a.csv"],
+    ["jsa", "--grid", "20", "--rde-l", "2", "--rde-omega", "1e12", "--out", "b.csv",
+     "--svg", "b.svg"],
+    ["hom", "--l", "2", "--omega", "2e12", "--points", "201", "--out", "c.csv"],
+    ["hom", "--method", "numeric", "--l", "1", "--omega", "1e12", "--points", "41",
+     "--out", "d.csv", "--svg", "d.svg"],
+    ["phasematch", "--cut-angle", "42", "--points", "11", "--out", "e.csv"],
+    ["phasematch", "--cut-angle", "45", "--f-min", "340", "--points", "21", "--out", "f.csv",
+     "--svg", "f.svg"],
+    ["estimate", "--input", "c.csv"],
+    ["estimate", "--input", "d.csv", "--out", "g.json"],
+    ["hom", "--no-such-flag", "1"],
+    ["--version"],
+    ["--help"],
+    *([command, "--help"] for command in cli.COMMANDS),
+]
+
+
+def _session_files(directory):
+    return {path.name: [line for line in path.read_bytes().splitlines()
+                        if not line.startswith(b"# timestamp=")]
+            for path in sorted(directory.iterdir())}
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeypatch, capsys):
+    assert _build_parser() is _build_parser()
+    fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+    fresh.mkdir()
+    warm.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1]), "COLUMNS": "80"}
+    expected = []
+    for argv in _SESSION:
+        done = subprocess.run([sys.executable, "-m", "hombeat", *argv], cwd=fresh, env=env,
+                              capture_output=True, text=True, timeout=120)
+        expected.append((argv, done.returncode, done.stdout, done.stderr))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(warm)
+    observed = []
+    for argv in _SESSION:
+        code = main(argv)
+        captured = capsys.readouterr()
+        observed.append((argv, code, captured.out, captured.err))
+    assert observed == expected
+    assert [code for _, code, _, _ in observed].count(2) == 1
+    assert _session_files(warm) == _session_files(fresh)
+    assert _build_parser() is _build_parser()
 
 
 # ---------------------------------------------------------------------------

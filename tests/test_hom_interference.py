@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hombeat import hom_interference
 from hombeat.hom_interference import (
     FWHM_FACTOR,
     GaussianSpectralAmplitude,
@@ -142,6 +143,33 @@ def test_numeric_far_wing_is_half(tau_c, omega):
     # the integrand oscillates ~1,800 times over the window at 300 tau_c
     spectra = make_shifted_spectra(tau_c, 2, omega)
     assert coincidence_numeric(300.0 * tau_c, spectra) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("centers", [(3e12, -1e12), (-1e12, 3e12), (1e12, -3e12)])
+def test_numeric_half_window_takes_branches_off_center(centers):
+    # the overlap's lobes sit at +-(c+ - c-)/2 = +-2e12 whatever the centers' mean;
+    # the reference is a dense trapezoid over a window symmetric about 0
+    spectra = tuple(GaussianSpectralAmplitude(center=c, sigma=5e11) for c in centers)
+    x = np.linspace(-3e13, 3e13, 300_001)
+    sym = 0.5 * (spectra[0].amplitude(x) * spectra[1].amplitude(-x)
+                 + spectra[1].amplitude(x) * spectra[0].amplitude(-x))
+    taus = np.linspace(-4e-12, 4e-12, 41)
+    integrand = sym * np.cos(2.0 * taus[:, None] * x)
+    trapezoid = (x[1] - x[0]) * (integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1]))
+    assert np.max(np.abs(coincidence_numeric(taus, spectra) - (0.5 - 0.5 * trapezoid))) < 1e-12
+
+
+@pytest.mark.parametrize("l,omega", [(2, 0.0), (2, 2e12), (10, 4e11)])
+def test_numeric_panel_budget_boundary(l, omega):
+    # the whole window [-reach, reach] needs _PANEL_BUDGET panels at the delay tau_edge
+    spectra = make_shifted_spectra(TAU_C, l, omega)
+    amp_width = math.sqrt(2.0) * spectra[0].sigma
+    window = 2.0 * (l * omega + 8.0 * amp_width)
+    tau_edge = (hom_interference._PANEL_BUDGET * hom_interference._GL_ORDERS[0]
+                / hom_interference._NODES_PER_PERIOD * math.pi / window)
+    assert coincidence_numeric(tau_edge * (1.0 - 1e-9), spectra) == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(QuadratureError, match="over the budget of 4096"):
+        coincidence_numeric(tau_edge * (1.0 + 1e-9), spectra)
 
 
 def test_spectrum_normalization():
