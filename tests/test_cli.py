@@ -516,10 +516,13 @@ def _outcome(directory, argv, capsys):
     with np.errstate(all="ignore"):
         code = run(argv)
     captured = capsys.readouterr()
-    files = {path.name: [line for line in path.read_bytes().splitlines()
-                         if not line.startswith(b"# timestamp=")]
-             for path in sorted(directory.iterdir())}
-    return code, captured.out, captured.err, files
+    return code, captured.out, captured.err, _files_without_timestamps(directory)
+
+
+def _files_without_timestamps(directory):
+    return {path.name: [line for line in path.read_bytes().splitlines()
+                        if not line.startswith(b"# timestamp=")]
+            for path in sorted(directory.iterdir())}
 
 
 _OPTIONS = _options()
@@ -654,12 +657,6 @@ _SESSION = [
 ]
 
 
-def _session_files(directory):
-    return {path.name: [line for line in path.read_bytes().splitlines()
-                        if not line.startswith(b"# timestamp=")]
-            for path in sorted(directory.iterdir())}
-
-
 def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeypatch, capsys):
     assert _build_parser() is _build_parser()
     fresh, warm = tmp_path / "fresh", tmp_path / "warm"
@@ -680,7 +677,7 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeyp
         observed.append((argv, code, captured.out, captured.err))
     assert observed == expected
     assert [code for _, code, _, _ in observed].count(2) == 1
-    assert _session_files(warm) == _session_files(fresh)
+    assert _files_without_timestamps(warm) == _files_without_timestamps(fresh)
     assert _build_parser() is _build_parser()
 
 
