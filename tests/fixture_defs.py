@@ -52,6 +52,10 @@ FIXTURES = {
         "hom", "--l", "2", "--omega", "1e6", "--tau-c", "1e-6",
         "--points", "601", "--tau-span", "3e-6",
     ],
+    # emission curves with unsolved rows on both rays and a crossing
+    "phasematch_cut42_gaps_crossing.csv": [
+        "phasematch", "--cut-angle", "42", "--points", "201",
+    ],
 }
 
 
