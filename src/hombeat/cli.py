@@ -44,7 +44,6 @@ _LAZY = {
     "SellmeierSet": ".phase_match:SellmeierSet",
     "emission_curves": ".phase_match:emission_curves",
     "find_intersection": ".phase_match:find_intersection",
-    "frequency_grid": ".phase_match:frequency_grid",
     "NoisyTrace": ".rotation_estimator:NoisyTrace",
     "estimate": ".rotation_estimator:estimate",
 }
@@ -266,7 +265,7 @@ def cmd_hom(p: dict) -> int:
 
 
 def cmd_phasematch(p: dict) -> int:
-    _bind("numpy", ".phase_match", ".dataio")
+    _bind(".phase_match", ".dataio")
     if p["cut_angle"] is None:
         raise ValueError("--cut-angle is required (degrees, strictly between 0 and 90)")
     sellmeier = _sellmeier_from_config(p["_config"])
@@ -278,13 +277,6 @@ def cmd_phasematch(p: dict) -> int:
     f_min, f_max, points = p["f_min"], p["f_max"], _count(p, "points", 2, MAX_POINTS)
     o_curve, e_curve = emission_curves(cfg, (f_min, f_max), points)
     crossing = find_intersection(o_curve, e_curve)
-
-    freqs = frequency_grid(f_min, f_max, points)
-    # one column per ray, NaN (an empty cell, a gap in the plot) where unsolved
-    angle_o, angle_e = np.full((2, points), np.nan)
-    for angles, curve in ((angle_o, o_curve), (angle_e, e_curve)):
-        f, a = np.array(curve.samples, dtype=float).reshape(-1, 2).T
-        angles[np.searchsorted(freqs, f)] = a
     meta = {
         **_preamble("phasematch"),
         "cut_angle_deg": cfg.cut_angle_deg,
@@ -302,11 +294,9 @@ def cmd_phasematch(p: dict) -> int:
         meta["intersection_residual_deg"] = crossing.residual_deg
     else:
         meta["intersection"] = "none"
-    write_csv(
-        p["out"],
-        {"freq_thz": freqs, "angle_o_deg": angle_o, "angle_e_deg": angle_e},
-        meta,
-    )
+    # one column per ray, NaN (an empty cell, a gap in the plot) where unsolved
+    freqs, angle_o, angle_e = o_curve.freqs, o_curve.angles, e_curve.angles
+    write_csv(p["out"], {"freq_thz": freqs, "angle_o_deg": angle_o, "angle_e_deg": angle_e}, meta)
     if p["svg"]:
         _bind(".svgplot")
         svgplot.line_plot(

@@ -60,6 +60,10 @@ class HomConfig:
         tau_grid = np.asarray(self.tau_grid, dtype=float)
         if not np.isfinite(tau_grid).all():
             raise ValueError("tau grid must contain finite values")
+        # the dip takes cos(beat * tau), which is NaN for a phase beyond the float range
+        max_phase = 2.0 * self.l * self.omega_rot * float(np.abs(tau_grid).max(initial=0.0))
+        if not math.isfinite(max_phase):
+            raise ValueError("beat phase 2*l*omega_rot*max|tau| must be finite")
         object.__setattr__(self, "tau_grid", tau_grid)
 
 

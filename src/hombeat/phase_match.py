@@ -93,28 +93,27 @@ class CrystalConfig:
         _check_window(wavelength_um(self.pump_frequency_thz), "pump wavelength")
 
 
-@dataclass(frozen=True)
-class EmissionPoint:
-    """One solved emission geometry at a single signal frequency."""
-
-    signal_frequency_thz: float
-    signal_internal_angle_rad: float
-    idler_internal_angle_rad: float
-    outside_angle_deg: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionCurve:
     """Outside angle versus signal frequency for one polarization of the signal."""
 
     ray: str  # "ordinary" or "extraordinary"
-    samples: tuple[tuple[float, float], ...]  # (frequency THz, outside angle deg)
-    n_unsolved: int = 0
+    freqs: np.ndarray  # THz, strictly increasing; both curves of a solve share it
+    angles: np.ndarray  # outside angle in deg at each frequency, NaN where unsolved
 
     def __post_init__(self):
-        freqs = [f for f, _ in self.samples]
-        if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
-            raise ValueError("curve frequencies must be strictly increasing")
+        if self.freqs.shape != self.angles.shape or not (np.diff(self.freqs) > 0.0).all():
+            raise ValueError("a curve needs strictly increasing frequencies, one angle each")
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        """The solved (frequency THz, outside angle deg) rows, in frequency order."""
+        solved = ~np.isnan(self.angles)
+        return tuple(zip(self.freqs[solved].tolist(), self.angles[solved].tolist()))
+
+    @property
+    def n_unsolved(self) -> int:
+        return int(np.isnan(self.angles).sum())
 
 
 @dataclass(frozen=True)
@@ -186,17 +185,11 @@ def n_extraordinary(
     return float(_extraordinary_index(sellmeier, lam_um, theta_rad))
 
 
-def _index(cfg: CrystalConfig, f_thz, extraordinary: bool, theta):
-    """Index of one photon: extraordinary at ``cut + theta`` from the optic axis, or ordinary."""
-    lam = wavelength_um(f_thz)
-    if extraordinary:
-        return _extraordinary_index(cfg.sellmeier, lam, math.radians(cfg.cut_angle_deg) + theta)
-    return _sellmeier_index(cfg.sellmeier.ordinary, lam)
-
-
 def _pump_wavenumber(cfg: CrystalConfig) -> float:
     """Pump wave number in index*THz units (the common 2*pi/c factor cancels)."""
-    return float(_index(cfg, cfg.pump_frequency_thz, True, 0.0)) * cfg.pump_frequency_thz
+    lam = wavelength_um(cfg.pump_frequency_thz)
+    n_p = _extraordinary_index(cfg.sellmeier, lam, math.radians(cfg.cut_angle_deg))
+    return float(n_p) * cfg.pump_frequency_thz
 
 
 def _photons(cfg: CrystalConfig, f_signal: np.ndarray) -> np.ndarray:
@@ -289,40 +282,6 @@ def _solve(cfg: CrystalConfig, f_signal: np.ndarray, signal_ray: str) -> np.ndar
     return out
 
 
-def solve_emission_point(
-    cfg: CrystalConfig, f_signal_thz: float, signal_ray: str
-) -> EmissionPoint | None:
-    """Solve one signal frequency; None when no real geometry exists.
-
-    The one-element case of the array solve that :func:`emission_curves`
-    uses: a 128-step scan of internal angles in [0, 10] degrees for the
-    first sign change of the shell mismatch, then bisection to 1e-10 rad.
-    """
-    theta_s, theta_i, outside = _solve(cfg, np.array([float(f_signal_thz)]), signal_ray)[:, 0]
-    if math.isnan(outside):
-        return None
-    return EmissionPoint(f_signal_thz, float(theta_s), float(theta_i), float(outside))
-
-
-def momentum_residuals(
-    cfg: CrystalConfig, point: EmissionPoint, signal_ray: str
-) -> tuple[float, float]:
-    """Momentum-conservation residuals, relative to the pump wave number.
-
-    Reconstructs both photons strictly on their dispersion shells at the
-    solved angles and reports the transverse and longitudinal leftovers.
-    """
-    f_s = point.signal_frequency_thz
-    f_i = cfg.pump_frequency_thz - f_s
-    ts, ti = point.signal_internal_angle_rad, point.idler_internal_angle_rad
-    k_s = float(_index(cfg, f_s, signal_ray != "ordinary", ts)) * f_s
-    k_i = float(_index(cfg, f_i, signal_ray == "ordinary", ti)) * f_i
-    k_p = _pump_wavenumber(cfg)
-    trans = k_s * math.sin(ts) - k_i * math.sin(ti)
-    longi = k_p - k_s * math.cos(ts) - k_i * math.cos(ti)
-    return abs(trans) / k_p, abs(longi) / k_p
-
-
 def frequency_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     """The exact sample frequencies emission_curves uses for a window."""
     if n_points < 2:
@@ -336,24 +295,18 @@ def emission_curves(
     """Sample both emission curves on a shared frequency grid.
 
     Returns the ordinary-signal curve and the extraordinary-signal curve,
-    each solved as one array by the rule of :func:`solve_emission_point`.
-    Frequencies with no real solution are omitted from the curve and counted
-    in ``n_unsolved``.  Raises :class:`NoSolutionError` when not a single
-    point of either curve is solvable.
+    each solved as one array.  A frequency with no real solution has the
+    angle NaN.  Raises :class:`NoSolutionError` when not a single point of
+    either curve is solvable.
     """
     lo, hi = freq_range
     pump = cfg.pump_frequency_thz
     if not (pump / 4.0 <= lo < hi <= 3.0 * pump / 4.0):
         raise ValueError("frequency range must lie inside [pump/4, 3*pump/4]")
     freqs = frequency_grid(lo, hi, n_points)
-    curves = []
-    for ray in ("ordinary", "extraordinary"):
-        outside = _solve(cfg, freqs, ray)[2]
-        solved = ~np.isnan(outside)
-        samples = tuple(zip(freqs[solved].tolist(), outside[solved].tolist()))
-        curves.append(EmissionCurve(ray, samples, n_unsolved=int(n_points - solved.sum())))
-    o_curve, e_curve = curves
-    if not o_curve.samples and not e_curve.samples:
+    o_curve, e_curve = (EmissionCurve(ray, freqs, _solve(cfg, freqs, ray)[2])
+                        for ray in ("ordinary", "extraordinary"))
+    if o_curve.n_unsolved == e_curve.n_unsolved == n_points:
         raise NoSolutionError(
             f"no emission geometry solvable anywhere in [{lo}, {hi}] THz "
             f"for cut angle {cfg.cut_angle_deg} deg"
@@ -361,43 +314,32 @@ def emission_curves(
     return o_curve, e_curve
 
 
-_FREQ_MATCH_TOL_THZ = 1e-9
-
-
 def find_intersection(o_curve: EmissionCurve, e_curve: EmissionCurve) -> IntersectionResult:
-    """Locate the crossing of the two sampled curves, if any.
+    """Locate the crossing of two curves on one frequency grid, if any.
 
-    Scans the angle difference at shared frequencies for the first sign
-    change and returns the exact crossing of the two piecewise-linear
-    interpolants on that interval; ``residual_deg`` is their computed
-    angle difference there.  Absence of a crossing is encoded in the
-    result, not raised.
+    Over the rows solved on both curves, takes the first consecutive pair
+    whose angle difference is zero at its first row or changes sign, and
+    returns the exact crossing of the two piecewise-linear interpolants on
+    that interval; ``residual_deg`` is their computed angle difference
+    there.  Absence of a crossing is encoded in the result, not raised.
     """
-    o_map, e_map = o_curve.samples, e_curve.samples
-    common: list[tuple[float, float, float]] = []
-    i = j = 0
-    while i < len(o_map) and j < len(e_map):
-        fo, ao = o_map[i]
-        fe, ae = e_map[j]
-        if abs(fo - fe) <= _FREQ_MATCH_TOL_THZ:
-            common.append((fo, ao, ae))
-            i += 1
-            j += 1
-        elif fo < fe:
-            i += 1
-        else:
-            j += 1
-
-    for (f1, o1, e1), (f2, o2, e2) in zip(common, common[1:]):
-        d1, d2 = o1 - e1, o2 - e2
-        if d1 == 0.0:
-            return IntersectionResult(True, f1, 0.5 * (o1 + e1), 0.0)
-        if d1 * d2 < 0.0:
-            t = d1 / (d1 - d2)
-            o = o1 + t * (o2 - o1)
-            e = e1 + t * (e2 - e1)
-            return IntersectionResult(True, f1 + t * (f2 - f1), 0.5 * (o + e), abs(o - e))
-    return IntersectionResult(exists=False)
+    if not np.array_equal(o_curve.freqs, e_curve.freqs):
+        raise ValueError("curves must share one frequency grid")
+    both = np.isfinite(o_curve.angles) & np.isfinite(e_curve.angles)
+    d = o_curve.angles[both] - e_curve.angles[both]
+    pair = np.flatnonzero((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0.0))
+    if not pair.size:
+        return IntersectionResult(exists=False)
+    rows = np.flatnonzero(both)[pair[0] : pair[0] + 2]
+    (f1, f2), (o1, o2), (e1, e2) = (a[rows].tolist() for a in
+                                    (o_curve.freqs, o_curve.angles, e_curve.angles))
+    d1, d2 = o1 - e1, o2 - e2
+    if d1 == 0.0:
+        return IntersectionResult(True, f1, 0.5 * (o1 + e1), 0.0)
+    t = d1 / (d1 - d2)
+    o = o1 + t * (o2 - o1)
+    e = e1 + t * (e2 - e1)
+    return IntersectionResult(True, f1 + t * (f2 - f1), 0.5 * (o + e), abs(o - e))
 
 
 def bandwidth_error(delta_f_thz: float, l: int, f_rot_thz: float) -> float:

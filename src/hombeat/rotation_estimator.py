@@ -175,9 +175,11 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
         d_u = -0.5 * v * cos * env * tau2 / ((u * t0) ** 2 * u)
         return np.column_stack([d_v, d_b, d_u])[:, free]
 
-    theta, r, converged, iterations = _damped_gauss_newton(evaluate, jacobian, start[free])
+    # a trace far outside [0, 1] overflows the squares: its fit ends unconverged, rms inf
+    with np.errstate(over="ignore"):
+        theta, r, converged, iterations = _damped_gauss_newton(evaluate, jacobian, start[free])
+        rms = float(np.sqrt(np.mean(r**2)))
     v, b, u = unpack(theta)
-    rms = float(np.sqrt(np.mean(r**2)))
     return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
 
 

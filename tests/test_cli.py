@@ -186,6 +186,18 @@ def test_hom_rejects_a_beat_beyond_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_hom_rejects_a_beat_phase_beyond_the_float_range(tmp_path, capsys):
+    # the beat and the delays are each finite, but beat*tau overflows at all
+    # but the middle delay: cos(inf) made 10 of the 11 p cells empty
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["hom", "--l", "17", "--omega", "1e12", "--tau-span", "1e300",
+                    "--points", "11", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beat phase 2*l*omega_rot*max|tau| must be finite\n"
+    assert not out.exists()
+
+
 def test_hom_delays_whose_square_overflows_warn_nothing(tmp_path, capsys):
     # tau*tau overflows to inf beyond |tau| ~ 1.3e154 s; the envelope there is exactly 0
     out = tmp_path / "x.csv"
@@ -412,6 +424,19 @@ def test_estimate_overflowing_trace_exits_4(tmp_path):
     assert json.loads(out.read_text())["converged"] is False
 
 
+def test_estimate_overflowing_trace_warns_nothing(tmp_path, capsys):
+    # the same trace without an errstate guard: the fit's squares overflow inside
+    # the estimator, which must say nothing about it beyond its exit code
+    out = tmp_path / "result.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["estimate", "--input", str(_constant_trace(tmp_path, 1e200)),
+                    "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["rms_residual"] is None
+
+
 def test_estimate_json_stays_strict_when_the_residual_overflows(tmp_path):
     out = tmp_path / "result.json"
     with np.errstate(all="ignore"):
@@ -601,7 +626,7 @@ def test_sample_counts_above_4096_squared_exit_2(tmp_path, monkeypatch, capsys, 
     def never(*args, **kwargs):
         raise AssertionError("started the computation")
 
-    for name in ("trace", "emission_curves", "frequency_grid"):
+    for name in ("trace", "emission_curves"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(cli.np, "linspace", never)
     if config is not None:

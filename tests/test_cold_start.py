@@ -23,11 +23,10 @@ PUBLIC_NAMES = {
         "run_pipeline", "state_overlap",
     ],
     "phase_match": [
-        "BBO_EIMERL_1987", "CrystalConfig", "EmissionCurve", "EmissionPoint",
-        "IntersectionResult", "NoSolutionError", "SellmeierSet", "bandwidth_error",
-        "emission_curves", "find_intersection", "frequency_grid", "momentum_residuals",
-        "n_extraordinary", "n_ordinary", "n_principal_extraordinary", "solve_emission_point",
-        "wavelength_um",
+        "BBO_EIMERL_1987", "CrystalConfig", "EmissionCurve", "IntersectionResult",
+        "NoSolutionError", "SellmeierSet", "bandwidth_error", "emission_curves",
+        "find_intersection", "frequency_grid", "n_extraordinary", "n_ordinary",
+        "n_principal_extraordinary", "wavelength_um",
     ],
     "joint_spectrum": [
         "JsaGrid", "PhaseMatchGaussian", "PumpSpectrum", "RdeShift", "effective_coherence_time",

@@ -247,6 +247,15 @@ def test_config_stores_the_delay_grid_as_a_float_array():
             HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=(0.0, bad))
 
 
+def test_config_rejects_a_beat_phase_beyond_the_float_range():
+    # 2*17*1e12*1e300 overflows, so cos(beat * tau) would be NaN at the scan's ends
+    with pytest.raises(ValueError, match=r"2\*l\*omega_rot\*max\|tau\|"):
+        HomConfig(tau_c=TAU_C, l=17, omega_rot=1e12, tau_grid=grid(1e300, 11))
+    for l, omega in ((17, 1e6), (0, 1e12)):  # phases up to 3.4e307 and 0 are finite
+        cfg = HomConfig(tau_c=TAU_C, l=l, omega_rot=omega, tau_grid=grid(1e300, 11))
+        assert trace(cfg).p[0] == 0.5
+
+
 def test_trace_method_validation():
     cfg = HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=grid(1e-12, 33))
     with pytest.raises(ValueError):

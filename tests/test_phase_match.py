@@ -21,11 +21,9 @@ from hombeat.phase_match import (
     bandwidth_error,
     emission_curves,
     find_intersection,
-    momentum_residuals,
     n_extraordinary,
     n_ordinary,
     n_principal_extraordinary,
-    solve_emission_point,
     wavelength_um,
 )
 
@@ -170,14 +168,19 @@ def test_curves_are_continuous():
 
 
 def test_momentum_residuals_small():
+    # both photons rebuilt on their dispersion shells at the solved internal angles
     cfg = config(45.0)
+    index = scalar_phase_match.index
+    freqs = np.array([355.0, 370.44, 385.0])
+    k_p = index(cfg, PUMP_THZ, True, 0.0) * PUMP_THZ
     for ray in ("ordinary", "extraordinary"):
-        for f in (355.0, 370.44, 385.0):
-            point = solve_emission_point(cfg, f, ray)
-            assert point is not None
-            trans, longi = momentum_residuals(cfg, point, ray)
-            assert trans < 1e-9
-            assert longi < 1e-9
+        thetas_s, thetas_i, _ = phase_match._solve(cfg, freqs, ray)
+        for f_s, ts, ti in zip(freqs.tolist(), thetas_s.tolist(), thetas_i.tolist()):
+            f_i = PUMP_THZ - f_s
+            k_s = index(cfg, f_s, ray == "extraordinary", ts) * f_s
+            k_i = index(cfg, f_i, ray == "ordinary", ti) * f_i
+            assert abs(k_s * math.sin(ts) - k_i * math.sin(ti)) / k_p < 1e-9
+            assert abs(k_p - k_s * math.cos(ts) - k_i * math.cos(ti)) / k_p < 1e-9
 
 
 def test_emission_curves_validation():
@@ -198,6 +201,7 @@ def test_unsolved_points_are_counted():
     assert o_curve.n_unsolved > 0
     assert e_curve.n_unsolved > 0
     assert len(o_curve.samples) + o_curve.n_unsolved == 201
+    assert [f for f, _ in o_curve.samples] == o_curve.freqs[~np.isnan(o_curve.angles)].tolist()
 
 
 def test_array_solve_matches_scalar_reference(monkeypatch):
@@ -209,9 +213,11 @@ def test_array_solve_matches_scalar_reference(monkeypatch):
     for cut in cuts:
         cfg = config(cut)
         for lo, hi in (WINDOW, (200.0, 540.0)):
-            freqs = np.concatenate([[lo, hi], rng.uniform(lo, hi, 18)])
+            # the pump frequency leaves no idler photon: unsolved
+            freqs = np.concatenate([[lo, hi, PUMP_THZ], rng.uniform(lo, hi, 18)])
             for ray in ("ordinary", "extraordinary"):
                 got = phase_match._solve(cfg, freqs, ray)
+                assert np.isnan(got[:, 2]).all()
                 for f, row in zip(freqs.tolist(), got.T):
                     want = scalar_phase_match.solve(cfg, f, ray)
                     if want is None:
@@ -221,6 +227,8 @@ def test_array_solve_matches_scalar_reference(monkeypatch):
                         assert [f"{v:.12g}" for v in row] == [f"{v:.12g}" for v in want]
                         solved += 1
     assert solved > 100 and unsolved > 100
+    with pytest.raises(ValueError):
+        phase_match._solve(config(45.0), freqs, "circular")
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 128])
@@ -247,20 +255,6 @@ def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
     assert solved > 200 and unsolved > 200
 
 
-def test_solve_emission_point_is_the_one_element_array_solve():
-    cfg = config(47.3)
-    for ray in ("ordinary", "extraordinary"):
-        point = solve_emission_point(cfg, 352.5, ray)
-        got = (point.signal_internal_angle_rad, point.idler_internal_angle_rad,
-               point.outside_angle_deg)
-        want = scalar_phase_match.solve(cfg, 352.5, ray)
-        assert [f"{v:.12g}" for v in got] == [f"{v:.12g}" for v in want]
-    assert solve_emission_point(config(89.0), 370.0, "ordinary") is None
-    assert solve_emission_point(cfg, PUMP_THZ, "ordinary") is None  # no idler photon
-    with pytest.raises(ValueError):
-        solve_emission_point(cfg, 370.0, "circular")
-
-
 def test_emission_curves_memory_bounded_by_blocks():
     tracemalloc.start()
     try:
@@ -272,17 +266,44 @@ def test_emission_curves_memory_bounded_by_blocks():
     assert peak <= 16 * 2**20
 
 
+def columns(freqs, o_angles, e_angles):
+    freqs = np.array(freqs)
+    return (EmissionCurve("ordinary", freqs, np.array(o_angles)),
+            EmissionCurve("extraordinary", freqs, np.array(e_angles)))
+
+
 def test_find_intersection_is_the_exact_crossing_of_the_interpolants():
     # the difference goes -1 -> +3 over [10, 11]: the lines meet a quarter of the way
-    o = EmissionCurve(ray="ordinary", samples=((10.0, 1.0), (11.0, 3.0), (12.0, 4.0)))
-    e = EmissionCurve(ray="extraordinary", samples=((10.0, 2.0), (11.0, 0.0), (12.0, 1.0)))
+    o, e = columns([10.0, 11.0, 12.0], [1.0, 3.0, 4.0], [2.0, 0.0, 1.0])
     assert find_intersection(o, e) == IntersectionResult(True, 10.25, 1.5, 0.0)
 
 
+def test_find_intersection_pair_spans_a_row_solved_on_one_curve():
+    # 11 THz is unsolved on the e curve, so the pair of rows is (10, 12):
+    # the difference goes -1 -> +3 there, so both lines reach 1.75 deg at 10.5 THz
+    o, e = columns([10.0, 11.0, 12.0], [1.0, 9.0, 4.0], [2.0, math.nan, 1.0])
+    assert find_intersection(o, e) == IntersectionResult(True, 10.5, 1.75, 0.0)
+
+
+def test_find_intersection_exact_zero_at_the_first_row_of_a_pair():
+    # equal angles at 11 THz, the first row of the pair (11, 12); the pair
+    # (10, 11) has no sign change because its first difference is nonzero
+    o, e = columns([10.0, 11.0, 12.0], [1.0, 2.5, 4.0], [2.0, 2.5, 1.0])
+    assert find_intersection(o, e) == IntersectionResult(True, 11.0, 2.5, 0.0)
+
+
 def test_find_intersection_without_common_points():
-    a = EmissionCurve(ray="ordinary", samples=((350.0, 3.0), (351.0, 3.1)))
-    b = EmissionCurve(ray="extraordinary", samples=((360.0, 4.0), (361.0, 4.1)))
-    assert not find_intersection(a, b).exists
+    # every row is solved on one curve at most
+    o, e = columns([350.0, 351.0, 360.0, 361.0], [3.0, 3.1, math.nan, math.nan],
+                   [math.nan, math.nan, 4.0, 4.1])
+    assert not find_intersection(o, e).exists
+
+
+def test_find_intersection_rejects_curves_on_different_grids():
+    o, _ = columns([10.0, 11.0], [1.0, 3.0], [2.0, 0.0])
+    _, e = columns([10.0, 12.0], [1.0, 3.0], [2.0, 0.0])
+    with pytest.raises(ValueError):
+        find_intersection(o, e)
 
 
 def test_crystal_config_validation():
