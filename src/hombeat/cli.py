@@ -5,8 +5,9 @@ metadata, so a file can be regenerated from its own header.  Angular
 frequencies are rad/s everywhere except the ``phasematch`` command, which
 speaks THz to match the emission-curve convention.
 
-Exit codes: 0 success, 2 argument or validation error, 3 numerical
-failure, 4 non-convergence (estimate only).
+Exit codes: 0 success, 2 argument or validation error, 3 numerical or
+i/o failure, 4 non-convergence (estimate only).  A run that exits 2 or 3
+leaves no output file it created.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import importlib
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -428,17 +430,21 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    created = []
     try:
-        return COMMANDS[args.command][0](_resolve(args))
+        p = _resolve(args)
+        created = [p[key] for key in ("out", "svg") if p.get(key) and not os.path.lexists(p[key])]
+        return COMMANDS[args.command][0](p)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
     except (QuadratureError, NoSolutionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"numerical failure: {exc}", 3
     except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"i/o failure: {exc}", 3
+    print(message, file=sys.stderr)
+    for path in filter(os.path.lexists, created):  # a failed run leaves no output it created
+        os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ scientific notation outside [1e-3, 1e6), so a write/read round trip
 reproduces them to 12 significant digits.  Missing cells are empty strings
 and read back as NaN.
 
-Rows are written as bytes encoded by numpy a block at a time: each value's
-12-digit mantissa and decimal exponent come from float64 scaling by exact
-powers of ten, and from Python's correctly rounded ``format`` for the few
-values near a rounding tie, so every cell is exactly ``format_float``'s
-text.  ``format_float`` stays the one scalar definition.
+Rows are encoded by numpy a block at a time into one row buffer of slot
+bytes, which one NUL-delete turns into text.  Each value's 12-digit
+mantissa and decimal exponent come from float64 scaling by exact powers of
+ten, or from Python's correctly rounded ``format`` near a rounding tie, so
+every cell is exactly ``format_float``'s text, the one scalar definition.
 """
 
 from __future__ import annotations
@@ -60,20 +60,18 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 # within 2**-11 of the exact one, and taken from Python's correctly rounded
 # format near a rounding tie, a decade edge or the ends of the double range.
 # Each cell is then written into a row of slots that holds, in text order,
-# every byte a cell of its kind can contain; the cell's layout code (and, in
+# every byte a cell of its kind can contain.  The cell's layout code (and, in
 # CSV cells, the index of m's last nonzero digit, which trims trailing
-# zeros) selects the slots it keeps, and np.compress drops the rest.
+# zeros) selects a row of 0x00/0xFF bytes that is ANDed in, so each dropped
+# slot becomes NUL; no cell contains NUL, so deleting the NULs of a block of
+# rows leaves its text.
 
-# the four ASCII digits of 0..9999, one row each, and their trailing zeros,
-# filled by broadcasting so that importing runs few numpy kernels
-_DIGITS4 = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4,
-                                indexing="ij"), axis=-1).reshape(10_000, 4)
-_DIGITS4_WORDS = _DIGITS4.view(np.uint32).ravel()
-_TRAILING_ZEROS4 = np.zeros((10,) * 4, np.int8)
-for _zeros in range(1, 5):
-    _TRAILING_ZEROS4[(Ellipsis,) + (0,) * _zeros] = _zeros
-del _zeros
-_TRAILING_ZEROS4 = _TRAILING_ZEROS4.ravel()
+# the four digits of 0..9999, most significant first, as one ASCII word each,
+# and their trailing zeros, built from np.indices so that importing runs few
+# numpy kernels
+_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10_000)
+_DIGITS4_WORDS = (_DIGITS4.T + ord("0")).copy().view(np.uint32).ravel()
+_TRAILING_ZEROS4 = np.cumprod(_DIGITS4[::-1] == 0, axis=0).sum(axis=0)
 # exact powers of ten: 10**k is a double for k <= 22
 _POW10 = np.array([float(10**k) for k in range(23)])
 # the float64 mantissa is off by at most 2**-11 from the exact scaled value,
@@ -98,14 +96,14 @@ def _digits(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _thresholds(slots: bytes, layouts: list[list[tuple[int, int]]]) -> np.ndarray:
     """Per layout and slot, the least last-digit index that keeps the slot.
 
-    Slot 0 (the sign) is set per cell and the final slot (the separator) is
-    always kept.
+    Slot 0 (the sign, written per cell as "-" or NUL) and the final slot (the
+    separator) are always kept.
     """
     threshold = np.full((len(layouts), len(slots)), _NEVER, np.int8)
     for code, layout in enumerate(layouts):
         for slot, keep in layout:
             threshold[code, slot] = keep
-    threshold[:, -1] = _ALWAYS
+    threshold[:, [0, -1]] = _ALWAYS
     return threshold
 
 
@@ -136,8 +134,8 @@ def _scientific(exp_digits: int) -> list[tuple[int, int]]:
 # codes 0-9: plain with exponent -3..6; then scientific, zero, inf, NaN
 _PLAIN_MIN_EXP = -3
 _SCI2, _SCI3, _ZERO_CELL, _INF_CELL, _NAN_CELL = 10, 11, 12, 13, 14
-# rows code * 12 + last
-_CSV_KEEP = (_thresholds(_CSV_SLOTS, [
+# rows code * 12 + last, 0xFF in each slot kept
+_CSV_KEEP = np.uint8(0xFF) * (_thresholds(_CSV_SLOTS, [
     *map(_plain, range(_PLAIN_MIN_EXP, 7)), _scientific(2), _scientific(3),
     [(1, _ALWAYS)], [(_CSV_INF + k, _ALWAYS) for k in range(3)], [],
 ])[:, None, :] <= np.arange(12)[:, None]).reshape(-1, len(_CSV_SLOTS))
@@ -146,10 +144,10 @@ _CSV_TEMPLATE = np.frombuffer(_CSV_SLOTS, np.uint8)
 # "%.2f" slots: sign, ten integer digits, point, two decimals, "inanf", separator
 _FIXED2_SLOTS = b"-" + b"0" * 10 + b"." + b"00" + b"inanf" + b" "
 # codes 0-9 hold 1..10 integer digits, then NaN and inf
-_FIXED2_KEEP = _thresholds(_FIXED2_SLOTS, [
+_FIXED2_KEEP = np.uint8(0xFF) * (_thresholds(_FIXED2_SLOTS, [
     *([(slot, _ALWAYS) for slot in range(11 - n, 14)] for n in range(1, 11)),
     [(15, _ALWAYS), (16, _ALWAYS), (17, _ALWAYS)], [(14, _ALWAYS), (15, _ALWAYS), (18, _ALWAYS)],
-]) == _ALWAYS
+]) == _ALWAYS)
 _FIXED2_NAN, _FIXED2_INF = 10, 11
 _FIXED2_TEMPLATE = np.frombuffer(_FIXED2_SLOTS, np.uint8)
 # below this, 100 |x| rounds to at most 11 digits
@@ -162,10 +160,12 @@ def _exact(magnitudes: np.ndarray, spec: str) -> list[str]:
     return list(map(format, magnitudes.tolist(), repeat(spec)))
 
 
-def csv_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot bytes and keep mask of the CSV cells of ``values``.
+def csv_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
+    """The CSV cells of ``values``, NUL in every slot a cell drops, into ``out`` if given.
 
-    A cell's text is format_float's, except that NaN is an empty cell.
+    ``chars`` holds a row of slot bytes per value, whose sign, digit and
+    exponent slots are written here.  A cell's text is format_float's,
+    except that NaN is an empty cell.
     """
     magnitude = np.abs(values)
     regular = np.isfinite(magnitude) & (magnitude != 0.0)
@@ -195,19 +195,17 @@ def csv_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _SCI3,
     )
     digits, last = _digits(m)
-    chars = np.empty((values.size, _CSV_TEMPLATE.size), np.uint8)
-    chars[:] = _CSV_TEMPLATE
-    chars[:, _CSV_DIGIT] = digits
+    chars[:, _CSV_DIGIT[0]:_CSV_DIGIT[7]:2] = digits[:, :7]
+    chars[:, _CSV_DIGIT[7]:_CSV_E] = digits[:, 7:]
     # four exponent digits over the sign slot, then the sign
     chars[:, _CSV_SIGN:_CSV_EXP + 3].view(np.uint32)[:, 0] = _DIGITS4_WORDS[np.abs(exponent)]
     chars[:, _CSV_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
-    keep = _CSV_KEEP.take(code * 12 + last, axis=0)
-    keep[:, 0] = values < 0.0
-    return chars, keep
+    chars[:, 0] = np.where(values < 0.0, ord("-"), 0)
+    return np.bitwise_and(chars, _CSV_KEEP.take(code * 12 + last, axis=0), out=out)
 
 
-def fixed2_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slot bytes and keep mask of ``"{:.2f}".format`` of each value.
+def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
+    """As csv_cells, for the ``"{:.2f}".format`` cells of ``values``.
 
     Finite values must be smaller than FIXED2_LIMIT in magnitude.
     """
@@ -225,39 +223,56 @@ def fixed2_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nan = np.isnan(values)
     code = np.select([nan, ~finite], [_FIXED2_NAN, _FIXED2_INF],
                      np.searchsorted(_FIXED2_STEPS, n, side="right"))
-    chars = np.empty((values.size, _FIXED2_TEMPLATE.size), np.uint8)
-    chars[:] = _FIXED2_TEMPLATE
     digits = _digits(n)[0]
     chars[:, 1:11] = digits[:, :10]
     chars[:, 12:14] = digits[:, 10:]
-    keep = _FIXED2_KEEP.take(code, axis=0)
-    keep[:, 0] = np.signbit(values) & ~nan
-    return chars, keep
+    chars[:, 0] = np.where(np.signbit(values) & ~nan, ord("-"), 0)
+    return np.bitwise_and(chars, _FIXED2_KEEP.take(code, axis=0), out=out)
 
 
-def join_cells(cells: Sequence[tuple[np.ndarray, np.ndarray]], separators: bytes) -> np.ndarray:
-    """The bytes of rows of cells, each cell followed by its column's separator.
+class _Column:
+    """One column over the blocks of one call: a copy of its slot template,
+    separator last, for each block row, and the distinct values it last
+    encoded once each, with their cells, for blocks of the same values."""
 
-    ``cells`` holds one (slot bytes, keep mask) pair per column.
+    def __init__(self, encode, template: np.ndarray, separator: int, rows: int):
+        self.encode, self.distinct, self.cells = encode, None, None
+        self.chars = np.tile(template, (rows, 1))
+        self.chars[:, -1] = separator
+
+    def pack(self, block: np.ndarray, out: np.ndarray) -> None:
+        """Write the cells of ``block`` into ``out``."""
+        distinct = block
+        if self.encode is csv_cells:
+            # np.unique would import numpy.ma (about 15 ms in every fresh process)
+            distinct = np.sort(block)
+            first = np.ones(distinct.size, bool)
+            np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
+            distinct = distinct[first]
+        if 4 * distinct.size > block.size:
+            self.encode(block, self.chars[:block.size], out)
+            return
+        if self.cells is None or not np.array_equal(distinct, self.distinct, equal_nan=True):
+            self.distinct, self.cells = distinct, self.encode(distinct, self.chars[:distinct.size])
+        inverse = np.searchsorted(distinct, block)  # NaN sorts last in both
+        np.take(self.cells, inverse, axis=0, out=out)
+
+
+def pack_rows(columns, encode, separators: bytes, block_rows: int) -> Iterator[bytes]:
+    """The text of rows of cells, each followed by its column's separator, a block at a time.
+
+    ``encode`` is csv_cells or fixed2_cells.  The columns write their cells
+    into one row buffer, and one NUL-delete turns a block into text.
     """
-    chars = np.stack([c for c, _ in cells], axis=1)
-    keep = np.stack([k for _, k in cells], axis=1)
-    chars[:, :, -1] = np.frombuffer(separators, np.uint8)
-    return np.compress(keep.ravel(), chars.ravel())
-
-
-def _column_cells(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSV cells of one column block; a block of few distinct values encodes each once."""
-    # np.unique would import numpy.ma (about 15 ms in every fresh process)
-    ordered = np.sort(block)
-    first = np.ones(ordered.size, bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    if 4 * distinct.size > block.size:
-        return csv_cells(block)
-    chars, keep = csv_cells(distinct)
-    inverse = np.searchsorted(distinct, block)  # NaN sorts last in both
-    return chars.take(inverse, axis=0), keep.take(inverse, axis=0)
+    n_rows = len(columns[0]) if columns else 0
+    template = _CSV_TEMPLATE if encode is csv_cells else _FIXED2_TEMPLATE
+    rows = np.empty((min(block_rows, n_rows), len(columns), template.size), np.uint8)
+    packers = [_Column(encode, template, separator, len(rows)) for separator in separators]
+    for start in range(0, n_rows, block_rows):
+        block = rows[:n_rows - start]
+        for j, (values, packer) in enumerate(zip(columns, packers)):
+            packer.pack(values[start:start + block_rows], block[:, j])
+        yield block.tobytes().translate(None, b"\0")
 
 
 def write_csv(
@@ -274,7 +289,6 @@ def write_csv(
     lengths = {len(columns[n]) for n in names}
     if len(lengths) > 1:
         raise ValueError("all columns must have the same length")
-    n_rows = lengths.pop() if lengths else 0
     # None becomes NaN, which is written as an empty cell
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
     separators = b"," * (len(names) - 1) + b"\n"
@@ -282,9 +296,7 @@ def write_csv(
               for key, v in (meta or {}).items()]
     with open(path, "wb") as fh:
         fh.write("".join([*header, ",".join(names), "\n"]).encode())
-        for start in range(0, n_rows, BLOCK_ROWS):
-            fh.write(join_cells([_column_cells(a[start:start + BLOCK_ROWS]) for a in arrays],
-                                separators))
+        fh.writelines(pack_rows(arrays, csv_cells, separators, BLOCK_ROWS))
 
 
 def _skip_line(line: str, meta: dict[str, str]) -> bool:
@@ -318,23 +330,17 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray:
     fast = _parse_numbers("\n".join(lines) + "\n", width)
     if fast is not None:
         return fast
-    rows = []
+    numbers = []
     for line in lines:
-        cells = line.split(",")
+        cells = [cell.strip() or "nan" for cell in line.split(",")]  # empty cells are NaN
         if len(cells) != width:
             raise ValueError(f"malformed CSV: row has {len(cells)} cells, expected {width}")
-        row = []
         for cell in cells:
-            cell = cell.strip()
-            if not cell:
-                row.append(math.nan)
-            else:
-                try:
-                    row.append(float(cell))
-                except ValueError as exc:
-                    raise ValueError(f"malformed CSV: bad numeric cell {cell!r}") from exc
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, width)
+            try:
+                numbers.append(float(cell))
+            except ValueError as exc:
+                raise ValueError(f"malformed CSV: bad numeric cell {cell!r}") from exc
+    return np.array(numbers, dtype=float).reshape(-1, width)
 
 
 def _text_blocks(fh) -> Iterator[str]:

@@ -317,20 +317,22 @@ def emission_curves(
 def find_intersection(o_curve: EmissionCurve, e_curve: EmissionCurve) -> IntersectionResult:
     """Locate the crossing of two curves on one frequency grid, if any.
 
-    Over the rows solved on both curves, takes the first consecutive pair
-    whose angle difference is zero at its first row or changes sign, and
-    returns the exact crossing of the two piecewise-linear interpolants on
-    that interval; ``residual_deg`` is their computed angle difference
-    there.  Absence of a crossing is encoded in the result, not raised.
+    Over the rows solved on both curves, takes the first whose angle
+    difference is zero or changes sign at the next row, and returns the
+    exact crossing of the two piecewise-linear interpolants on that
+    interval; ``residual_deg`` is their computed angle difference there.
+    Absence of a crossing is encoded in the result, not raised.
     """
     if not np.array_equal(o_curve.freqs, e_curve.freqs):
         raise ValueError("curves must share one frequency grid")
-    both = np.isfinite(o_curve.angles) & np.isfinite(e_curve.angles)
+    both = np.flatnonzero(np.isfinite(o_curve.angles) & np.isfinite(e_curve.angles))
     d = o_curve.angles[both] - e_curve.angles[both]
-    pair = np.flatnonzero((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0.0))
-    if not pair.size:
+    crossing = d == 0.0
+    crossing[:-1] |= d[:-1] * d[1:] < 0.0
+    if not crossing.any():
         return IntersectionResult(exists=False)
-    rows = np.flatnonzero(both)[pair[0] : pair[0] + 2]
+    first = int(np.argmax(crossing))
+    rows = both[[first, min(first + 1, both.size - 1)]]  # the last row pairs with itself
     (f1, f2), (o1, o2), (e1, e2) = (a[rows].tolist() for a in
                                     (o_curve.freqs, o_curve.angles, e_curve.angles))
     d1, d2 = o1 - e1, o2 - e2

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import fixed2_cells, join_cells
+from .dataio import fixed2_cells, pack_rows
 
 # polyline points encoded per step, so a long trace never becomes one
 # whole-trace text
@@ -88,10 +88,11 @@ def _write_parts(fh, parts: list[str]) -> None:
 def _write_polyline(fh, px: np.ndarray, py: np.ndarray, color: str) -> None:
     """One polyline, its "%.2f" points encoded BLOCK_POINTS at a time."""
     fh.write(b'<polyline points="')
-    for start in range(0, px.size, BLOCK_POINTS):
-        stop = start + BLOCK_POINTS
-        text = join_cells([fixed2_cells(px[start:stop]), fixed2_cells(py[start:stop])], b", ")
-        fh.write(text if stop < px.size else text[:-1])  # no space after the last point
+    text = b""
+    for block in pack_rows([px, py], fixed2_cells, b", ", BLOCK_POINTS):
+        fh.write(text)
+        text = block
+    fh.write(text[:-1])  # no space after the last point
     fh.write(f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n'.encode())
 
 

@@ -128,6 +128,28 @@ def test_jsa_unwritable_output_exits_3(tmp_path):
     assert run(["jsa", "--grid", "16", "--out", str(missing_dir)]) == 3
 
 
+@pytest.mark.parametrize("command", [["jsa", "--grid", "16"], ["hom", "--points", "64"]])
+def test_failed_svg_write_leaves_no_csv(tmp_path, capsys, command):
+    out = tmp_path / "data.csv"
+    svg = tmp_path / "missing" / "plot.svg"
+    assert run([*command, "--out", str(out), "--svg", str(svg)]) == 3
+    assert capsys.readouterr().err.startswith("i/o failure:")
+    assert not out.exists()
+
+
+def test_failed_run_keeps_files_that_existed_before(tmp_path, capsys):
+    svg = tmp_path / "plot.svg"
+    svg.write_text("kept")
+    assert run(["hom", "--method", "numeric", "--tau-span", "1", "--points", "3",
+                "--out", str(tmp_path / "x.csv"), "--svg", str(svg)]) == 3
+    assert not (tmp_path / "x.csv").exists() and svg.read_text() == "kept"
+    # an input that is also the output path is never removed
+    bad = tmp_path / "bad.csv"
+    bad.write_text("tau_s,p\n1.0,spam\n")
+    assert run(["estimate", "--input", str(bad), "--out", str(bad)]) == 2
+    assert bad.read_text() == "tau_s,p\n1.0,spam\n"
+
+
 # ---------------------------------------------------------------------------
 # hom
 

@@ -195,6 +195,36 @@ def test_write_cells_match_format_float(tmp_path, values, before_boundary):
     assert cells[BLOCK_ROWS - before_boundary:] == expected
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(same=st.lists(_CELL_VALUES, min_size=1, max_size=8),
+       before=st.lists(_FINITE, min_size=1, max_size=8),
+       after=st.lists(_FINITE, max_size=6),
+       blocks=st.integers(2, 3), short=st.integers(0, BLOCK_ROWS - 100), seed=st.integers(0, 99))
+def test_columns_of_repeats_match_format_float_across_blocks(tmp_path, same, before, after,
+                                                             blocks, short, seed):
+    """Cells encoded once per distinct value, and reused only while a column's values repeat."""
+    n = blocks * BLOCK_ROWS - short
+    # the same distinct values in every block
+    a = np.resize(same, n)
+    # a distinct set that changes at the first block boundary, to one with NaN and -0.0;
+    # each NaN counts apart, so they stay rare enough for the cells to be encoded once
+    b = np.concatenate([np.resize(before, BLOCK_ROWS),
+                        np.resize(after + [math.nan, -0.0, 1.5, 2.5, 3.5], n - BLOCK_ROWS)])
+    # every value distinct
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    path = tmp_path / "repeats.csv"
+    write_csv(path, {"a": a, "b": b, "c": c})
+    lines = path.read_text().split("\n")
+    assert lines[0] == "a,b,c" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(_expected_cell(v) for v in row)
+                           for row in zip(a.tolist(), b.tolist(), c.tolist())]
+
+
 def test_none_and_nan_give_empty_cells(tmp_path):
     path = tmp_path / "gaps.csv"
     write_csv(path, {"a": [1.0, None, math.nan], "b": np.array([math.nan, -0.0, 2.0])})

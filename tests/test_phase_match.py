@@ -292,6 +292,18 @@ def test_find_intersection_exact_zero_at_the_first_row_of_a_pair():
     assert find_intersection(o, e) == IntersectionResult(True, 11.0, 2.5, 0.0)
 
 
+def test_find_intersection_exact_zero_at_the_last_row_solved_on_both():
+    # equal angles at 11 THz, the last row solved on both, with no pair after it
+    o, e = columns([10.0, 11.0], [1.0, 2.0], [2.0, 2.0])
+    assert find_intersection(o, e) == IntersectionResult(True, 11.0, 2.0, 0.0)
+    # the same at the only row solved on both, between rows solved on one curve
+    o, e = columns([10.0, 11.0, 12.0], [1.0, 2.5, math.nan], [math.nan, 2.5, 1.0])
+    assert find_intersection(o, e) == IntersectionResult(True, 11.0, 2.5, 0.0)
+    # an earlier sign change is still the one reported
+    o, e = columns([10.0, 11.0, 12.0], [1.0, 3.0, 2.0], [2.0, 0.0, 2.0])
+    assert find_intersection(o, e) == IntersectionResult(True, 10.25, 1.5, 0.0)
+
+
 def test_find_intersection_without_common_points():
     # every row is solved on one curve at most
     o, e = columns([350.0, 351.0, 360.0, 361.0], [3.0, 3.1, math.nan, math.nan],

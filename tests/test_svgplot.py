@@ -84,9 +84,9 @@ def test_polyline_points_match_format(points, block):
 
 
 def test_point_encoder_rejects_values_past_its_digits():
-    fixed2_cells(np.array([FIXED2_LIMIT * (1 - 2**-52)]))
+    fixed2_cells(np.array([FIXED2_LIMIT * (1 - 2**-52)]), np.zeros((1, 20), np.uint8))
     with pytest.raises(ValueError):
-        fixed2_cells(np.array([0.0, -FIXED2_LIMIT]))
+        fixed2_cells(np.array([0.0, -FIXED2_LIMIT]), np.zeros((2, 20), np.uint8))
 
 
 def test_heatmap_memory_stays_bounded(tmp_path):
