@@ -71,7 +71,7 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 # numpy kernels
 _DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10_000)
 _DIGITS4_WORDS = (_DIGITS4.T + ord("0")).copy().view(np.uint32).ravel()
-_TRAILING_ZEROS4 = np.cumprod(_DIGITS4[::-1] == 0, axis=0).sum(axis=0)
+_TRAILING_ZEROS4 = np.cumprod(_DIGITS4[::-1] == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
 # exact powers of ten: 10**k is a double for k <= 22
 _POW10 = np.array([float(10**k) for k in range(23)])
 # the float64 mantissa is off by at most 2**-11 from the exact scaled value,
