@@ -5,9 +5,8 @@ metadata, so a file can be regenerated from its own header.  Angular
 frequencies are rad/s everywhere except the ``phasematch`` command, which
 speaks THz to match the emission-curve convention.
 
-Exit codes: 0 success, 2 argument or validation error, 3 numerical or
-i/o failure, 4 non-convergence (estimate only).  A run that exits 2 or 3
-leaves no output file it created.
+Exit codes: 0 success, 2 argument or validation error, 3 numerical or i/o
+failure (2 and 3 leave no output they created), 4 non-convergence (estimate).
 """
 
 from __future__ import annotations

@@ -72,8 +72,10 @@ _NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 _DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10_000)
 _DIGITS4_WORDS = (_DIGITS4.T + ord("0")).copy().view(np.uint32).ravel()
 _TRAILING_ZEROS4 = np.cumprod(_DIGITS4[::-1] == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
-# exact powers of ten: 10**k is a double for k <= 22
+# exact powers of ten (10**k is a double for k <= 22), three to a row whose
+# product is 10**k for each k = |11 - exponent| <= 66 (past it, the fallback)
 _POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_SPLIT = _POW10[np.clip(np.arange(400)[:, None] - [0, 22, 44], 0, 22)]
 # the float64 mantissa is off by at most 2**-11 from the exact scaled value,
 # so a cell this close to a rounding tie is decided by the exact fallback
 _TIE_GUARD = 2.0**-10
@@ -173,7 +175,7 @@ def csv_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
     exponent = np.floor(np.log10(x)).astype(np.int64)
     # scale by 10**(11 - exponent) in up to three exact factors
     k = np.abs(11 - exponent)
-    f1, f2, f3 = (_POW10[np.clip(k - 22 * i, 0, 22)] for i in range(3))
+    f1, f2, f3 = _POW10_SPLIT[k].T
     with np.errstate(over="ignore"):  # in the branch np.where drops
         scaled = np.where(exponent <= 11, x * f1 * f2 * f3, x / f1 / f2 / f3)
     fraction = scaled - np.floor(scaled)
@@ -232,17 +234,19 @@ def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
 
 class _Column:
     """One column over the blocks of one call: a copy of its slot template,
-    separator last, for each block row, and the distinct values it last
-    encoded once each, with their cells, for blocks of the same values."""
+    separator last, for each block row, its last block, and the distinct
+    values it last encoded once each, with their cells."""
 
     def __init__(self, encode, template: np.ndarray, separator: int, rows: int):
-        self.encode, self.distinct, self.cells = encode, None, None
+        self.encode, self.block, self.distinct, self.cells = encode, np.empty(0), None, None
         self.chars = np.tile(template, (rows, 1))
         self.chars[:, -1] = separator
 
     def pack(self, block: np.ndarray, out: np.ndarray) -> None:
-        """Write the cells of ``block`` into ``out``."""
-        distinct = block
+        """Write the cells of ``block`` into ``out``, which holds those of the last block."""
+        if np.array_equal(block.view(np.int64), self.block.view(np.int64)):
+            return  # the same bits as the last block
+        self.block = distinct = block
         if self.encode is csv_cells:
             # np.unique would import numpy.ma (about 15 ms in every fresh process)
             distinct = np.sort(block)
@@ -254,16 +258,13 @@ class _Column:
             return
         if self.cells is None or not np.array_equal(distinct, self.distinct, equal_nan=True):
             self.distinct, self.cells = distinct, self.encode(distinct, self.chars[:distinct.size])
-        inverse = np.searchsorted(distinct, block)  # NaN sorts last in both
-        np.take(self.cells, inverse, axis=0, out=out)
+        np.take(self.cells, np.searchsorted(distinct, block), axis=0, out=out)  # NaN sorts last
 
 
 def pack_rows(columns, encode, separators: bytes, block_rows: int) -> Iterator[bytes]:
-    """The text of rows of cells, each followed by its column's separator, a block at a time.
-
-    ``encode`` is csv_cells or fixed2_cells.  The columns write their cells
-    into one row buffer, and one NUL-delete turns a block into text.
-    """
+    """The text of rows of cells, each followed by its column's separator, a block at a
+    time: ``encode`` (csv_cells or fixed2_cells) writes the columns' cells into one row
+    buffer, and one NUL-delete turns a block into text."""
     n_rows = len(columns[0]) if columns else 0
     template = _CSV_TEMPLATE if encode is csv_cells else _FIXED2_TEMPLATE
     rows = np.empty((min(block_rows, n_rows), len(columns), template.size), np.uint8)
