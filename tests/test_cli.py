@@ -33,6 +33,46 @@ def test_pipeline_prints_stages(capsys):
     assert "nu=-2e+12" in out
 
 
+_PIPELINE_HEAD = """\
+# tool=hombeat version=0.1.0 command=pipeline
+# l={l} omega_rot={omega} center_frequency=2327543165191606.0
+
+== stage 1: down-conversion source (polarization pair) ==
++0.70710678 |H, l=+0, nu=+0> |V, l=+0, nu=+0>
++0.70710678 |V, l=+0, nu=+0> |H, l=+0, nu=+0>
+
+== stage 2: after quarter-wave plates (spin basis) ==
++0.70710678 |s+, l=+0, nu=+0> |s-, l=+0, nu=+0>
++0.70710678 |s-, l=+0, nu=+0> |s+, l=+0, nu=+0>
+"""
+
+
+def test_pipeline_stdout_is_pinned(capsys):
+    # the complete text, so a rewrite of the state algebra cannot move one byte of it
+    assert run(["pipeline", "--l", "2", "--omega", "1e12"]) == 0
+    assert capsys.readouterr().out == _PIPELINE_HEAD.format(l=2, omega=1e12) + """\
+
+== stage 3: after rotating q-plate (spin, OAM, detuning) ==
++0.70710678 |s-, l=+2, nu=+2e+12> |s+, l=-2, nu=-2e+12>
++0.70710678 |s+, l=-2, nu=-2e+12> |s-, l=+2, nu=+2e+12>
+
+== stage 4: after inverse plates and polarizers (OAM-frequency pair) ==
++0.70710678 |l=+2, nu=+2e+12> |l=-2, nu=-2e+12>
++0.70710678 |l=-2, nu=-2e+12> |l=+2, nu=+2e+12>
+"""
+    # with no charge the two branches land on one label pair and merge into one term
+    assert run(["pipeline", "--l", "0", "--omega", "0"]) == 0
+    assert capsys.readouterr().out == _PIPELINE_HEAD.format(l=0, omega=0.0) + """\
+
+== stage 3: after rotating q-plate (spin, OAM, detuning) ==
++0.70710678 |s-, l=+0, nu=+0> |s+, l=+0, nu=+0>
++0.70710678 |s+, l=+0, nu=+0> |s-, l=+0, nu=+0>
+
+== stage 4: after inverse plates and polarizers (OAM-frequency pair) ==
++1.00000000 |l=+0, nu=+0> |l=+0, nu=+0>
+"""
+
+
 def test_pipeline_degenerate(capsys):
     assert run(["pipeline", "--l", "0", "--omega", "0"]) == 0
     out = capsys.readouterr().out
