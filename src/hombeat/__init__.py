@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "hybrid_state": (
         "EmptyStateError", "InvalidStateError", "PhotonLabel", "Pol", "ProductTerm",
-        "SpatialMode", "TwoPhotonState", "apply_delay_and_beamsplitter",
-        "apply_polarizer_projection", "apply_qwp", "apply_rotating_qplate", "new_spdc_state",
-        "run_pipeline", "state_overlap",
+        "TwoPhotonState", "apply_polarizer_projection", "apply_qwp", "apply_rotating_qplate",
+        "new_spdc_state", "run_pipeline", "state_overlap",
     ),
     "phase_match": (
         "BBO_EIMERL_1987", "CrystalConfig", "EmissionCurve", "IntersectionResult",

@@ -2,10 +2,10 @@
 
 A state is a normalized superposition of labeled product terms.  Each photon
 label carries either a linear polarization or a circular-polarization spin
-value (never both at once), an integer orbital angular momentum charge, a
-frequency detuning from the shared degenerate center, and a spatial mode.
-Frequencies are stored as detunings so that terahertz-scale shifts never get
-swallowed by the optical carrier.
+value (never both at once), an integer orbital angular momentum charge and a
+frequency detuning from the shared degenerate center.  Frequencies are
+stored as detunings so that terahertz-scale shifts never get swallowed by
+the optical carrier.
 
 All operations are pure functions on immutable values; applying an element
 returns a new state and leaves the input untouched.
@@ -13,11 +13,10 @@ returns a new state and leaves the input untouched.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 NORM_TOL = 1e-12
 
@@ -35,14 +34,6 @@ class Pol(Enum):
     V = "V"
 
 
-class SpatialMode(Enum):
-    """Where a photon travels: the shared source path or a splitter output."""
-
-    SOURCE = "source"
-    A = "a"
-    B = "b"
-
-
 class InvalidStateError(ValueError):
     """The state is not in the basis an optical element expects."""
 
@@ -53,7 +44,7 @@ class EmptyStateError(InvalidStateError):
 
 @dataclass(frozen=True)
 class PhotonLabel:
-    """Single-photon label: polarization or spin, OAM charge, detuning, mode.
+    """Single-photon label: polarization or spin, OAM charge and detuning.
 
     ``sam`` is the spin angular momentum of circular polarization, +1 or -1.
     At most one of ``pol``/``sam`` may be set; a quarter-wave plate converts
@@ -65,7 +56,6 @@ class PhotonLabel:
     sam: int | None = None
     oam: int = 0
     detuning: float = 0.0
-    spatial_mode: SpatialMode = SpatialMode.SOURCE
 
     def __post_init__(self):
         if self.pol is not None and self.sam is not None:
@@ -83,7 +73,6 @@ class PhotonLabel:
             self.pol is other.pol
             and self.sam == other.sam
             and self.oam == other.oam
-            and self.spatial_mode is other.spatial_mode
             and abs(self.detuning - other.detuning) <= DETUNING_MERGE_TOL
         )
 
@@ -95,8 +84,6 @@ class PhotonLabel:
             parts.append("s+" if self.sam > 0 else "s-")
         parts.append(f"l={self.oam:+d}")
         parts.append(f"nu={self.detuning:+.6g}")
-        if self.spatial_mode is not SpatialMode.SOURCE:
-            parts.append(self.spatial_mode.value)
         return "|" + ", ".join(parts) + ">"
 
 
@@ -164,12 +151,23 @@ def _require_normalized(state: TwoPhotonState) -> None:
         raise InvalidStateError("state must be normalized before applying an element")
 
 
+def _labels(state: TwoPhotonState) -> list[PhotonLabel]:
+    """Every photon label of the state, term by term."""
+    return [p for t in state.terms for p in (t.photon1, t.photon2)]
+
+
+def _map_labels(state: TwoPhotonState, f: Callable[[PhotonLabel], PhotonLabel]) -> TwoPhotonState:
+    """Map both photon labels of every term through ``f`` and merge the terms that meet."""
+    terms = [ProductTerm(t.amplitude, f(t.photon1), f(t.photon2)) for t in state.terms]
+    return TwoPhotonState(_merged(terms), state.center_frequency)
+
+
 def new_spdc_state(center_frequency: float) -> TwoPhotonState:
     """Polarization-entangled pair from type-II down-conversion.
 
     Returns ``(|H>|V> + |V>|H>) / sqrt(2)`` with both photons at zero
-    detuning, zero OAM, in the source path.  The relative phase from crystal
-    birefringence and the overall phase are omitted.
+    detuning and zero OAM.  The relative phase from crystal birefringence
+    and the overall phase are omitted.
     """
     if not (center_frequency > 0.0) or not math.isfinite(center_frequency):
         raise ValueError("center_frequency must be a positive finite rad/s value")
@@ -177,14 +175,6 @@ def new_spdc_state(center_frequency: float) -> TwoPhotonState:
     h = PhotonLabel(pol=Pol.H)
     v = PhotonLabel(pol=Pol.V)
     return TwoPhotonState((ProductTerm(a, h, v), ProductTerm(a, v, h)), center_frequency)
-
-
-def _qwp_label(label: PhotonLabel, forward: bool) -> PhotonLabel:
-    if forward:
-        sam = +1 if label.pol is Pol.H else -1
-        return replace(label, pol=None, sam=sam)
-    pol = Pol.H if label.sam == +1 else Pol.V
-    return replace(label, pol=pol, sam=None)
 
 
 def apply_qwp(state: TwoPhotonState) -> TwoPhotonState:
@@ -195,21 +185,15 @@ def apply_qwp(state: TwoPhotonState) -> TwoPhotonState:
     detunings are untouched, so the norm is preserved exactly.
     """
     _require_normalized(state)
-    labels = [p for t in state.terms for p in (t.photon1, t.photon2)]
+    labels = _labels(state)
     if all(p.pol is not None for p in labels):
-        forward = True
-    elif all(p.sam is not None for p in labels):
-        forward = False
-    else:
-        raise InvalidStateError(
-            "quarter-wave plate needs every photon in the polarization basis "
-            "or every photon in the spin basis"
-        )
-    terms = tuple(
-        ProductTerm(t.amplitude, _qwp_label(t.photon1, forward), _qwp_label(t.photon2, forward))
-        for t in state.terms
+        return _map_labels(state, lambda p: replace(p, pol=None, sam=1 if p.pol is Pol.H else -1))
+    if all(p.sam is not None for p in labels):
+        return _map_labels(state, lambda p: replace(p, pol=Pol.H if p.sam == 1 else Pol.V, sam=None))
+    raise InvalidStateError(
+        "quarter-wave plate needs every photon in the polarization basis "
+        "or every photon in the spin basis"
     )
-    return TwoPhotonState(_merged(terms), state.center_frequency)
 
 
 def apply_rotating_qplate(state: TwoPhotonState, l: int, omega_rot: float) -> TwoPhotonState:
@@ -226,19 +210,14 @@ def apply_rotating_qplate(state: TwoPhotonState, l: int, omega_rot: float) -> Tw
     if not math.isfinite(omega_rot):
         raise ValueError("omega_rot must be finite")
     _require_normalized(state)
-    if any(p.sam is None for t in state.terms for p in (t.photon1, t.photon2)):
+    if any(p.sam is None for p in _labels(state)):
         raise InvalidStateError("rotating q-plate needs every photon in the spin basis")
 
     def shift(p: PhotonLabel) -> PhotonLabel:
-        return replace(
-            p,
-            sam=-p.sam,
-            oam=p.oam + p.sam * l,
-            detuning=p.detuning + p.sam * l * omega_rot,
-        )
+        return replace(p, sam=-p.sam, oam=p.oam + p.sam * l,
+                       detuning=p.detuning + p.sam * l * omega_rot)
 
-    terms = tuple(ProductTerm(t.amplitude, shift(t.photon1), shift(t.photon2)) for t in state.terms)
-    return TwoPhotonState(_merged(terms), state.center_frequency)
+    return _map_labels(state, shift)
 
 
 def apply_polarizer_projection(state: TwoPhotonState) -> TwoPhotonState:
@@ -249,72 +228,17 @@ def apply_polarizer_projection(state: TwoPhotonState) -> TwoPhotonState:
     labels is returned unchanged.
     """
     _require_normalized(state)
-    labels = [p for t in state.terms for p in (t.photon1, t.photon2)]
+    labels = _labels(state)
     if any(p.sam is not None for p in labels):
         raise InvalidStateError("polarizer acts on the polarization basis; apply the inverse quarter-wave plate first")
     if all(p.pol is None for p in labels):
         return state
     if any(p.pol is None for p in labels):
         raise InvalidStateError("mixed basis: some photons carry polarization labels and some do not")
-    terms = _merged(
-        ProductTerm(
-            t.amplitude,
-            replace(t.photon1, pol=None),
-            replace(t.photon2, pol=None),
-        )
-        for t in state.terms
-    )
-    if not terms:
+    projected = _map_labels(state, lambda p: replace(p, pol=None))
+    if not projected.terms:
         raise EmptyStateError("polarizer projection annihilated every term")
-    return TwoPhotonState(terms, state.center_frequency).normalized()
-
-
-def _require_frequency_form(state: TwoPhotonState) -> None:
-    if not state.terms:
-        raise EmptyStateError("state has no terms")
-    for t in state.terms:
-        for p in (t.photon1, t.photon2):
-            if p.pol is not None or p.sam is not None:
-                raise InvalidStateError("expected a frequency/OAM-labeled state with no polarization or spin labels")
-            if p.spatial_mode is not SpatialMode.SOURCE:
-                raise InvalidStateError("photons must still be in the source path")
-
-
-def _apply_time_delay(state: TwoPhotonState, tau: float) -> TwoPhotonState:
-    """Delay photon 1 by tau: each term gains exp(i * (center + nu1) * tau)."""
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    _require_normalized(state)
-    _require_frequency_form(state)
-    terms = tuple(
-        replace(t, amplitude=t.amplitude * cmath.exp(1j * (state.center_frequency + t.photon1.detuning) * tau))
-        for t in state.terms
-    )
-    return TwoPhotonState(terms, state.center_frequency)
-
-
-def _apply_beamsplitter_postselect(state: TwoPhotonState) -> TwoPhotonState:
-    """Keep the coincidence branch of a balanced splitter: photon 1 to port a, photon 2 to port b."""
-    _require_normalized(state)
-    _require_frequency_form(state)
-    terms = tuple(
-        ProductTerm(
-            t.amplitude,
-            replace(t.photon1, spatial_mode=SpatialMode.A),
-            replace(t.photon2, spatial_mode=SpatialMode.B),
-        )
-        for t in state.terms
-    )
-    return TwoPhotonState(_merged(terms), state.center_frequency)
-
-
-def apply_delay_and_beamsplitter(state: TwoPhotonState, tau: float) -> TwoPhotonState:
-    """Delay one arm by tau, then keep the one-photon-per-port splitter branch.
-
-    Bunched outputs are not represented as terms; they are accounted for in
-    the coincidence-probability formulas instead.
-    """
-    return _apply_beamsplitter_postselect(_apply_time_delay(state, tau))
+    return projected.normalized()
 
 
 def run_pipeline(l: int, omega_rot: float, center_frequency: float) -> tuple[TwoPhotonState, ...]:

@@ -18,7 +18,7 @@ import hombeat
 PUBLIC_NAMES = {
     "hybrid_state": [
         "EmptyStateError", "InvalidStateError", "PhotonLabel", "Pol", "ProductTerm",
-        "SpatialMode", "TwoPhotonState", "apply_delay_and_beamsplitter",
+        "TwoPhotonState",
         "apply_polarizer_projection", "apply_qwp", "apply_rotating_qplate", "new_spdc_state",
         "run_pipeline", "state_overlap",
     ],

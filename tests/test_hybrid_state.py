@@ -10,9 +10,7 @@ from hombeat.hybrid_state import (
     PhotonLabel,
     Pol,
     ProductTerm,
-    SpatialMode,
     TwoPhotonState,
-    apply_delay_and_beamsplitter,
     apply_polarizer_projection,
     apply_qwp,
     apply_rotating_qplate,
@@ -48,7 +46,6 @@ def test_spdc_state_structure():
             assert photon.sam is None
             assert photon.oam == 0
             assert photon.detuning == 0.0
-            assert photon.spatial_mode is SpatialMode.SOURCE
 
 
 def test_spdc_state_normalized_for_any_frequency():
@@ -183,62 +180,6 @@ def test_polarizer_annihilation_raises():
 
 
 # ---------------------------------------------------------------------------
-# delay and beam splitter
-
-
-def test_delay_phases_match_detuned_frequencies():
-    l, omega_rot, tau = 2, 1e12, 0.35e-12
-    output = run_pipeline(l, omega_rot, OMEGA_DEG)[-1]
-    final = apply_delay_and_beamsplitter(output, tau)
-    assert abs(final.norm_squared() - 1.0) < NORM_TOL
-    amp0 = 1.0 / math.sqrt(2.0)
-    for term in final.terms:
-        assert term.photon1.spatial_mode is SpatialMode.A
-        assert term.photon2.spatial_mode is SpatialMode.B
-        expected = amp0 * complex(
-            math.cos((OMEGA_DEG + term.photon1.detuning) * tau),
-            math.sin((OMEGA_DEG + term.photon1.detuning) * tau),
-        )
-        assert term.amplitude == pytest.approx(expected, abs=1e-12)
-    # relative phase between the branches is the beat accumulated over tau
-    t_plus = next(t for t in final.terms if t.photon1.detuning > 0)
-    t_minus = next(t for t in final.terms if t.photon1.detuning < 0)
-    relative = t_plus.amplitude / t_minus.amplitude
-    expected = complex(math.cos(2 * l * omega_rot * tau), math.sin(2 * l * omega_rot * tau))
-    assert relative == pytest.approx(expected, abs=1e-12)
-
-
-def test_delay_zero_keeps_amplitudes():
-    output = run_pipeline(2, 1e12, OMEGA_DEG)[-1]
-    final = apply_delay_and_beamsplitter(output, 0.0)
-    for before, after in zip(output.terms, final.terms):
-        assert after.amplitude == before.amplitude
-        assert after.photon1.spatial_mode is SpatialMode.A
-
-
-def test_delay_degenerate_frequencies_share_global_phase():
-    output = run_pipeline(2, 0.0, OMEGA_DEG)[-1]
-    tau = 1e-13
-    final = apply_delay_and_beamsplitter(output, tau)
-    phases = [t.amplitude / abs(t.amplitude) for t in final.terms]
-    expected = complex(math.cos(OMEGA_DEG * tau), math.sin(OMEGA_DEG * tau))
-    for phase in phases:
-        assert phase == pytest.approx(expected, abs=1e-12)
-
-
-def test_delay_rejects_non_finite_tau():
-    output = run_pipeline(2, 1e12, OMEGA_DEG)[-1]
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            apply_delay_and_beamsplitter(output, bad)
-
-
-def test_delay_rejects_labeled_state():
-    with pytest.raises(InvalidStateError):
-        apply_delay_and_beamsplitter(new_spdc_state(OMEGA_DEG), 1e-12)
-
-
-# ---------------------------------------------------------------------------
 # pipeline and overlap
 
 
@@ -346,6 +287,12 @@ def test_property_oam_frequency_correlation(l, omega_rot, center):
             assert photon.oam in (l, -l)
             sign = 1 if photon.oam == l else -1
             assert photon.detuning == sign * (l * omega_rot)
+    # the two branches differ in frequency by the beat 2*l*omega_rot; with l = 0 they merge
+    if l == 0:
+        assert len(output.terms) == 1
+    else:
+        plus, minus = output.terms
+        assert plus.photon1.detuning - minus.photon1.detuning == 2 * l * omega_rot
 
 
 @settings(max_examples=200, deadline=None)
