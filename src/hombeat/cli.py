@@ -235,6 +235,8 @@ def cmd_hom(p: dict) -> int:
     tau_span = p["tau_span"]
     if not tau_span > 0.0:
         raise ValueError("tau span must be positive")
+    if not 2.0 * tau_span < sys.float_info.max:  # else linspace overflows on the span
+        raise ValueError("tau span must be below half the float range")
     cfg = HomConfig(
         tau_c=p["tau_c"],
         l=p["l"],
