@@ -397,9 +397,39 @@ COMMANDS = {
 }
 
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a negative number after a flag is that flag's value.
+
+    argparse takes only plain decimals such as -5 or -0.5 for negative numbers,
+    so it reads ``--omega -1e12`` (or ``-inf``) as a flag with no value.  Each
+    ``--flag -number`` pair is read as ``--flag=-number``, unless the flag is
+    (an abbreviation of) --help or --version, which take no value.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            flag = joined[-1] if joined else ""
+            if (flag.startswith("--") and "=" not in flag and token.startswith("-")
+                    and not any(bare.startswith(flag) for bare in ("--help", "--version"))
+                    and _parses_as_float(token)):
+                joined[-1] = f"{flag}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 @functools.cache  # parse_args keeps no state, so one parser serves every main call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hombeat",
         description=(
             "Two-photon frequency-entanglement toolkit: state pipeline, joint "

@@ -162,6 +162,18 @@ def _exact(magnitudes: np.ndarray, spec: str) -> list[str]:
     return list(map(format, magnitudes.tolist(), repeat(spec)))
 
 
+def _product_error(a: np.ndarray, b: float, product: np.ndarray) -> np.ndarray:
+    """a * b - product exactly, for product the float64 a * b and b of at most 26 bits.
+
+    Dekker's two-product (Numer. Math. 18, 224, 1971): a splits into two
+    halves of 26 bits whose products with b, and their differences from
+    product, are exact.
+    """
+    big = a * 134217729.0  # 2**27 + 1
+    high = big - (big - a)
+    return (high * b - product) + (a - high) * b
+
+
 def csv_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
     """The CSV cells of ``values``, NUL in every slot a cell drops, into ``out`` if given.
 
@@ -217,11 +229,15 @@ def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
     if (scaled >= FIXED2_LIMIT).any():
         raise ValueError(f"cannot format values of {FIXED2_LIMIT:g} or more with 2 decimals")
     scaled *= 100.0
-    fraction = scaled - np.floor(scaled)
-    exact = np.abs(fraction - 0.5) < _TIE_GUARD
-    n = np.rint(scaled).astype(np.int64)
-    if exact.any():
-        n[exact] = [int(t.replace(".", "")) for t in _exact(magnitude[exact], ".2f")]
+    n = np.rint(scaled)
+    # the product rounds to the same side of every other half as the exact
+    # 100 |x|; at a product of exactly k + 1/2 the sign of its rounding error
+    # decides (a zero error is an exact tie, which rint sends to even)
+    half = np.flatnonzero(scaled - np.floor(scaled) == 0.5)
+    if half.size:
+        error = _product_error(magnitude[half], 100.0, scaled[half])
+        n[half] = np.where(error == 0.0, n[half], scaled[half] + np.copysign(0.5, error))
+    n = n.astype(np.int64)
     nan = np.isnan(values)
     code = np.select([nan, ~finite], [_FIXED2_NAN, _FIXED2_INF],
                      np.searchsorted(_FIXED2_STEPS, n, side="right"))
@@ -230,6 +246,18 @@ def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
     chars[:, 12:14] = digits[:, 10:]
     chars[:, 0] = np.where(np.signbit(values) & ~nan, ord("-"), 0)
     return np.bitwise_and(chars, _FIXED2_KEEP.take(code, axis=0), out=out)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted, NaN (which sorts last) kept once.
+
+    np.unique would import numpy.ma (about 15 ms in every fresh process).
+    """
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first[np.searchsorted(ordered, np.nan) + 1:] = False
+    return ordered[first]
 
 
 class _Column:
@@ -248,11 +276,11 @@ class _Column:
             return  # the same bits as the last block
         self.block = distinct = block
         if self.encode is csv_cells:
-            # np.unique would import numpy.ma (about 15 ms in every fresh process)
-            distinct = np.sort(block)
-            first = np.ones(distinct.size, bool)
-            np.not_equal(distinct[1:], distinct[:-1], out=first[1:])
-            distinct = distinct[first]
+            # a first quarter (and one) of distinct values settles, without
+            # sorting the rest, that the block is encoded directly
+            prefix = block[:block.size // 4 + 1]
+            if _distinct(prefix).size < prefix.size:
+                distinct = _distinct(block)
         if 4 * distinct.size > block.size:
             self.encode(block, self.chars[:block.size], out)
             return

@@ -14,8 +14,8 @@ import numpy as np
 
 from .dataio import fixed2_cells, pack_rows
 
-# polyline points encoded per step, so a long trace never becomes one
-# whole-trace text
+# polyline points and heatmap cells encoded per step, so a long trace or a
+# big map never becomes one whole-document text
 BLOCK_POINTS = 1 << 14
 
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -163,6 +163,18 @@ def _heat_colors(t: np.ndarray) -> np.ndarray:
     )
 
 
+# the hex digits of a colour code, most significant nibble first, and the end of a rect
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+_NIBBLE_SHIFTS = np.arange(20, -1, -4)
+_RECT_END = np.frombuffer(b'"/>\n', np.uint8)
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """One row of bytes per text, NUL-padded to the longest."""
+    table = np.array([t.encode() for t in texts])
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
 def heatmap(
     path,
     x_axis: Sequence[float],
@@ -174,7 +186,15 @@ def heatmap(
     width: int = 560,
     height: int = 540,
 ) -> None:
-    """Render values[i, j] at (x_axis[i], y_axis[j]) as colored cells."""
+    """Render values[i, j] at (x_axis[i], y_axis[j]) as colored cells.
+
+    The colour scale is the largest finite value (1.0 if there is none or it
+    is 0); NaN cells, and cells whose scaled value is at most 0, are black.
+    The plot area is painted
+    black once, then each run of equal non-black colour down a column is one
+    rect, its lines built a block of whole columns at a time from byte tables
+    of the column x, row y and run height texts, and one NUL-delete.
+    """
     x_axis = np.asarray(x_axis, float)
     y_axis = np.asarray(y_axis, float)
     values = np.asarray(values, float)
@@ -183,22 +203,38 @@ def heatmap(
     x0, y0, x1, y1 = 70, 30, width - 30, height - 60
     xlo, xhi = float(x_axis.min()), float(x_axis.max())
     ylo, yhi = float(y_axis.min()), float(y_axis.max())
-    top = float(values.max()) or 1.0
+    top = float(np.max(values, initial=-math.inf, where=np.isfinite(values)))
+    top = top if math.isfinite(top) and top != 0.0 else 1.0
 
     nx, ny = x_axis.size, y_axis.size
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
-    codes, color_index = np.unique(_heat_colors(values / top), return_inverse=True)
-    fills = [f"#{c:06x}" for c in codes.tolist()]
-    color_index = color_index.reshape(nx, ny)
-    ys = [f"{y1 - (j + 1) * ch:.2f}" for j in range(ny)]
-    size = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    xs = _text_table([f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(nx)])
+    ys = _text_table([f'{y1 - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" height="'
+                      for j in range(ny)])
+    heights = _text_table([f'{n * ch + 0.5:.2f}" fill="#' for n in range(1, ny + 1)])
+    background = (f'<rect x="{x0}" y="{y0}" width="{x1 - x0 + 0.5:.2f}" '
+                  f'height="{y1 - y0 + 0.5:.2f}" fill="#000000"/>')
+    step = max(1, BLOCK_POINTS // ny)
     with open(path, "wb") as fh:
-        _write_parts(fh, _svg_header(width, height))
-        for i in range(nx):
-            rect = f'<rect x="{x0 + i * cw:.2f}" y="{{}}" {size} fill="{{}}"/>'.format
-            row = map(fills.__getitem__, color_index[i].tolist())
-            fh.write(("\n".join(map(rect, ys, row)) + "\n").encode())
+        _write_parts(fh, [*_svg_header(width, height), background])
+        for i in range(0, nx, step):
+            with np.errstate(over="ignore"):  # a cell past the scale is white
+                codes = _heat_colors(values[i:i + step] / top).ravel()
+            # a run starts at the bottom of each column and at each change of colour
+            starts = np.ones(codes.size, bool)
+            np.not_equal(codes[1:], codes[:-1], out=starts[1:])
+            starts[::ny] = True
+            first = np.flatnonzero(starts)
+            length = np.diff(first, append=codes.size)
+            colored = codes[first] != 0
+            first, length = first[colored], length[colored]
+            hex_digits = _HEX_DIGITS[codes[first, None] >> _NIBBLE_SHIFTS & 15]
+            lines = np.concatenate([
+                xs[i + first // ny], ys[(first + length - 1) % ny], heights[length - 1],
+                hex_digits, np.broadcast_to(_RECT_END, (first.size, _RECT_END.size)),
+            ], axis=1)
+            fh.write(lines.tobytes().translate(None, b"\0"))
         parts: list[str] = []
         _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
         _write_parts(fh, parts + ["</svg>"])

@@ -83,6 +83,14 @@ def test_pipeline_rejects_negative_charge(capsys):
     assert run(["pipeline", "--l", "-1", "--omega", "1e12"]) == 2
 
 
+def test_pipeline_takes_a_negative_omega_in_exponent_notation(capsys):
+    assert run(["pipeline", "--l", "2", "--omega", "-1e12"]) == 0
+    spaced = capsys.readouterr()
+    assert run(["pipeline", "--l", "2", "--omega=-1e12"]) == 0
+    assert capsys.readouterr() == spaced
+    assert spaced.err == "" and "omega_rot=-1000000000000.0" in spaced.out
+
+
 def test_unknown_command_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -775,6 +783,37 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(tmp_path, monkeyp
     assert [code for _, code, _, _ in observed].count(2) == 1
     assert _files_without_timestamps(warm) == _files_without_timestamps(fresh)
     assert _build_parser() is _build_parser()
+
+
+# cheap settings, so that a value the command accepts runs in milliseconds
+_SMALL = {"pipeline": [], "jsa": ["--grid", "16"], "hom": ["--points", "11"],
+          "phasematch": ["--cut-angle", "42", "--points", "11"], "estimate": []}
+_FLOAT_FLAGS = [(command, "--" + key.replace("_", "-"))
+                for command, (_, _, rows) in cli.COMMANDS.items()
+                for key, kind, _, _ in rows if kind is float]
+
+
+def test_hom_takes_a_negative_omega_in_exponent_notation(tmp_path, capsys):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(["hom", "--points", "11", "--omega", "-2e12", "--out", str(spaced)]) == 0
+    assert run(["hom", "--points", "11", "--omega=-2e12", "--out", str(joined)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _files_without_timestamps(tmp_path)["spaced.csv"] == \
+        _files_without_timestamps(tmp_path)["joined.csv"]
+
+
+@pytest.mark.parametrize("value", ["-2.5e-3", "-1E+2", "-inf"])
+@pytest.mark.parametrize("command,flag", _FLOAT_FLAGS, ids=[" ".join(f) for f in _FLOAT_FLAGS])
+def test_negative_flag_values_parse_alike_in_both_forms(tmp_path, monkeypatch, capsys, command,
+                                                        flag, value):
+    monkeypatch.chdir(tmp_path)
+    outcomes = []
+    for pair in ([flag, value], [f"{flag}={value}"]):
+        with np.errstate(all="ignore"):
+            code = run([command, *_SMALL[command], *pair])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert "expected one argument" not in outcomes[0][1].err
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,23 @@
 import math
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hombeat import dataio
 from hombeat.dataio import (
     BLOCK_ROWS,
     READ_CHARS,
+    _CSV_TEMPLATE,
+    _Column,
+    csv_cells,
+    fixed2_cells,
     format_float,
+    pack_rows,
     read_csv,
     read_hom_trace,
     write_csv,
@@ -210,8 +217,7 @@ def test_columns_of_repeats_match_format_float_across_blocks(tmp_path, same, bef
     n = blocks * BLOCK_ROWS - short
     # the same distinct values in every block
     a = np.resize(same, n)
-    # a distinct set that changes at the first block boundary, to one with NaN and -0.0;
-    # each NaN counts apart, so they stay rare enough for the cells to be encoded once
+    # a distinct set that changes at the first block boundary, to one with NaN and -0.0
     b = np.concatenate([np.resize(before, BLOCK_ROWS),
                         np.resize(after + [math.nan, -0.0, 1.5, 2.5, 3.5], n - BLOCK_ROWS)])
     # every value distinct
@@ -223,6 +229,30 @@ def test_columns_of_repeats_match_format_float_across_blocks(tmp_path, same, bef
     assert lines[0] == "a,b,c" and lines[-1] == ""
     assert lines[1:-1] == [",".join(_expected_cell(v) for v in row)
                            for row in zip(a.tolist(), b.tolist(), c.tolist())]
+
+
+def test_block_cycling_nan_and_negative_zero_is_encoded_once():
+    block = np.resize([2.5, math.nan, -0.0], BLOCK_ROWS)
+    column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
+    out = np.empty((BLOCK_ROWS, _CSV_TEMPLATE.size), np.uint8)
+    column.pack(block, out)
+    assert column.distinct.size == 3  # the NaN cells count as one value
+    assert out.tobytes().translate(None, b"\0").decode() == "".join(
+        _expected_cell(v) + "\n" for v in block.tolist())
+
+
+def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):
+    # x.xx5 decimals whose float64 product 100 |x| is exactly k + 1/2
+    values = np.array([float(f"{k}5e-3") for k in range(-20_000, 20_000)])
+    scaled = np.abs(values) * 100.0
+    half = scaled - np.floor(scaled) == 0.5
+    values, scaled = values[half], scaled[half]
+    errors = {(Fraction(abs(v)) * 100 > Fraction(p)) - (Fraction(abs(v)) * 100 < Fraction(p))
+              for v, p in zip(values.tolist(), scaled.tolist())}
+    assert errors == {-1, 0, 1}  # rounded up, exact ties and rounded down
+    monkeypatch.setattr(dataio, "_exact", None)  # no cell takes Python's format
+    text = b"".join(pack_rows([values], fixed2_cells, b" ", BLOCK_ROWS)).decode()
+    assert text == "".join(f"{v:.2f} " for v in values.tolist())
 
 
 def test_none_and_nan_give_empty_cells(tmp_path):

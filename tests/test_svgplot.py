@@ -2,6 +2,7 @@ import io
 import math
 import re
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hombeat import svgplot
+from hombeat.cli import main
 from hombeat.dataio import FIXED2_LIMIT, fixed2_cells
 
 
@@ -21,8 +23,27 @@ def _scalar_heat_color(t: float) -> str:
     return f"#{int(255 * r):02x}{int(255 * g):02x}{int(255 * b):02x}"
 
 
-def _fills(path):
-    return re.findall(r'<rect [^>]* fill="(#[0-9a-f]{6})"/>', path.read_text())
+_RECT = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]*)" '
+                   r'fill="([^"]*)"/>')
+
+
+def _raster(path, nx, ny, width=560, height=540):
+    """The fill at each cell centre, [i][j], after painting every rect in document order."""
+    x0, y0, x1, y1 = 70, 30, width - 30, height - 60
+    cx = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
+    cy = y1 - (np.arange(ny) + 0.5) * (y1 - y0) / ny
+    fills = np.full((nx, ny), "", object)
+    for x, y, w, h, fill in _RECT.findall(path.read_text()):
+        x, y, w, h = map(float, (x, y, w, h))
+        fills[np.outer((x <= cx) & (cx < x + w), (y <= cy) & (cy < y + h))] = fill
+    return fills.tolist()
+
+
+def _expected_fills(values):
+    """Each cell's ramp colour on the scale of the largest finite value (1.0 if none or 0)."""
+    cells = values.tolist()
+    top = max((v for row in cells for v in row if math.isfinite(v)), default=0.0) or 1.0
+    return [[_scalar_heat_color(v / top) for v in row] for row in cells]
 
 
 def test_heatmap_colors_match_the_scalar_ramp(tmp_path):
@@ -31,8 +52,7 @@ def test_heatmap_colors_match_the_scalar_ramp(tmp_path):
     values[0, :6] = [0.0, -0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0, 1e-300]
     path = tmp_path / "heat.svg"
     svgplot.heatmap(path, np.arange(23.0), np.arange(17.0), values)
-    top = float(values.max())
-    assert _fills(path) == [_scalar_heat_color(v / top) for v in values.ravel().tolist()]
+    assert _raster(path, 23, 17) == _expected_fills(values)
 
 
 def test_heatmap_nan_cells_are_black(tmp_path):
@@ -40,7 +60,43 @@ def test_heatmap_nan_cells_are_black(tmp_path):
     values[1, 2] = math.nan
     path = tmp_path / "heat.svg"
     svgplot.heatmap(path, np.arange(4.0), np.arange(5.0), values)
-    assert set(_fills(path)) == {"#000000"}  # a NaN maximum leaves no finite scale
+    fills = _raster(path, 4, 5)
+    assert fills[1][2] == "#000000"
+    assert fills == _expected_fills(values)
+    assert fills[3][4] == "#ffffff"  # the finite maximum, not a NaN scale
+
+
+_CELL_VALUES = (st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -0.0, 0.0,
+                                 1.0 / 3.0, 2.0 / 3.0, 1.0, 3.0])
+                | st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.data(), st.integers(1, 12))
+def test_heatmap_draws_each_cell_once_per_colour_run(tmp_path_factory, nx, ny, data, block):
+    flat = data.draw(st.lists(_CELL_VALUES, min_size=nx * ny, max_size=nx * ny)
+                     | st.sampled_from([[math.nan] * (nx * ny), [-0.0] * (nx * ny)]))
+    values = np.array(flat).reshape(nx, ny)
+    path = tmp_path_factory.mktemp("heat") / "heat.svg"
+    old, svgplot.BLOCK_POINTS = svgplot.BLOCK_POINTS, block
+    try:
+        svgplot.heatmap(path, np.arange(nx, dtype=float), np.arange(ny, dtype=float), values)
+    finally:
+        svgplot.BLOCK_POINTS = old
+    expected = _expected_fills(values)
+    assert _raster(path, nx, ny) == expected
+    # the page, the black plot area, then one rect per run of a non-black colour
+    runs = sum(colour != "#000000" for column in expected for colour, _ in groupby(column))
+    assert len(_RECT.findall(path.read_text())) == 2 + runs
+
+
+def test_reference_heatmap_stays_small(tmp_path):
+    svg = tmp_path / "jsa.svg"
+    assert main(["jsa", "--rde-l", "2", "--rde-omega", "2e12", "--grid", "256",
+                 "--out", str(tmp_path / "jsa.csv"), "--svg", str(svg)]) == 0
+    text = svg.read_text()
+    assert len(text) <= 1_500_000
+    assert text.count("<rect ") < 20_000
 
 
 def test_long_polyline_spans_blocks_without_seams(tmp_path):
