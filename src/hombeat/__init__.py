@@ -23,18 +23,17 @@ _EXPORTS = {
     "phase_match": (
         "BBO_EIMERL_1987", "CrystalConfig", "EmissionCurve", "IntersectionResult",
         "NoSolutionError", "SellmeierSet", "bandwidth_error", "emission_curves",
-        "find_intersection", "frequency_grid", "n_extraordinary", "n_ordinary",
-        "n_principal_extraordinary", "wavelength_um",
+        "find_intersection", "frequency_grid", "wavelength_um",
     ),
     "joint_spectrum": (
         "JsaGrid", "PhaseMatchGaussian", "PumpSpectrum", "RdeShift", "effective_coherence_time",
-        "jsa_grid", "jsa_value", "peak_locations", "phase_match_for_coherence_time",
+        "jsa_grid", "jsa_value", "peak_locations",
     ),
     "hom_interference": (
         "GaussianSpectralAmplitude", "HomConfig", "HomTrace", "QuadratureError",
         "RestrictedDensityMatrix", "coincidence_numeric", "coincidence_plain", "coincidence_rde",
-        "fwhm_bandwidth", "make_shifted_spectra", "observability", "restricted_density_matrix",
-        "trace", "visibility",
+        "dip_model", "fwhm_bandwidth", "make_shifted_spectra", "observability",
+        "restricted_density_matrix", "trace", "visibility",
     ),
     "rotation_estimator": (
         "EnvelopeFit", "EstimateResult", "NoisyTrace", "estimate", "extract_beat",

@@ -276,10 +276,9 @@ class _Column:
             return  # the same bits as the last block
         self.block = distinct = block
         if self.encode is csv_cells:
-            # a first quarter (and one) of distinct values settles, without
-            # sorting the rest, that the block is encoded directly
-            prefix = block[:block.size // 4 + 1]
-            if _distinct(prefix).size < prefix.size:
+            # a first quarter (and one) holding more than n/8 distinct values
+            # sends the block to the direct path without sorting the rest
+            if 8 * _distinct(block[:block.size // 4 + 1]).size <= block.size:
                 distinct = _distinct(block)
         if 4 * distinct.size > block.size:
             self.encode(block, self.chars[:block.size], out)

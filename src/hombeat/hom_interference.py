@@ -144,13 +144,25 @@ def make_shifted_spectra(
     )
 
 
+def dip_model(tau, v, beat, tau_c):
+    """The dip ``1/2 - (v/2) cos(beat tau) exp(-tau^2 / (2 tau_c^2))`` at the delays ``tau``.
+
+    Returns ``(p, cos, envelope)``: a fit's Jacobian reuses the cosine and
+    the envelope.
+    """
+    cos = np.cos(beat * tau)
+    with np.errstate(over="ignore"):  # a tau*tau beyond the float range is an envelope of exactly 0
+        envelope = np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
+    return 0.5 - 0.5 * v * cos * envelope, cos, envelope
+
+
 def coincidence_plain(tau, tau_c: float):
     """Gaussian dip ``1/2 - (1/2) exp(-tau^2 / (2 tau_c^2))``: the beating dip at ``l = 0``."""
     return coincidence_rde(tau, tau_c, 0, 0.0)
 
 
 def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
-    """Cosine-modulated dip: ``1/2 - (1/2) cos(2 l omega tau) exp(-tau^2/(2 tau_c^2))``.
+    """Cosine-modulated dip: :func:`dip_model` at full visibility and beat ``2 l omega_rot``.
 
     ``tau`` is one delay (the result is a float) or an array of delays (the
     result is an array of the same shape).  Only the product
@@ -161,11 +173,7 @@ def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
         raise ValueError("tau_c must be positive")
     if l < 0:
         raise ValueError("l must be >= 0")
-    beat = 2.0 * l * omega_rot
-    tau = np.asarray(tau, dtype=float)
-    with np.errstate(over="ignore"):  # a tau*tau beyond the float range is an envelope of exactly 0
-        envelope = np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
-    p = 0.5 - 0.5 * np.cos(beat * tau) * envelope
+    p = dip_model(np.asarray(tau, dtype=float), 1.0, 2.0 * l * omega_rot, tau_c)[0]
     return float(p) if p.ndim == 0 else p
 
 

@@ -98,9 +98,6 @@ class ProductTerm:
     def labels_match(self, other: "ProductTerm") -> bool:
         return self.photon1.matches(other.photon1) and self.photon2.matches(other.photon2)
 
-    def swapped(self) -> "ProductTerm":
-        return ProductTerm(self.amplitude, self.photon2, self.photon1)
-
 
 @dataclass(frozen=True)
 class TwoPhotonState:

@@ -84,17 +84,25 @@ class JsaGrid:
         return d1, d2
 
 
+def _profile(nu1, nu2, pm: PhaseMatchGaussian, tag):
+    """Phase-matching profile ``exp(-gamma (A (nu1 + tag) - A (nu2 - tag))^2)`` of one branch."""
+    return np.exp(-pm.gamma * (pm.a_coef * (nu1 + tag) - pm.a_coef * (nu2 - tag)) ** 2)
+
+
+def _envelope(nu1, nu2, pump: PumpSpectrum):
+    """Pump envelope ``exp(-(nu1 + nu2)^2 / (2 sigma^2))``: the branch shifts leave it unchanged."""
+    return np.exp(-((nu1 + nu2) ** 2) / (2.0 * pump.sigma**2))
+
+
 def jsa_value(nu1, nu2, pump: PumpSpectrum, pm: PhaseMatchGaussian):
     """Joint spectral amplitude at detunings (nu1, nu2); accepts arrays.
 
-    ``exp(-gamma (A nu1 - A nu2)^2) * exp(-(nu1 + nu2)^2 / (2 sigma^2))``,
-    equal to 1 at the degenerate point.
+    The unshifted profile times the pump envelope, equal to 1 at the
+    degenerate point.
     """
     nu1 = np.asarray(nu1, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
-    phase_match = np.exp(-pm.gamma * (pm.a_coef * nu1 - pm.a_coef * nu2) ** 2)
-    pump_envelope = np.exp(-((nu1 + nu2) ** 2) / (2.0 * pump.sigma**2))
-    out = phase_match * pump_envelope
+    out = _profile(nu1, nu2, pm, 0.0) * _envelope(nu1, nu2, pump)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,11 +115,11 @@ def jsa_grid(
 ) -> JsaGrid:
     """Evaluate the amplitude magnitude on an n-by-n detuning grid.
 
-    Without a shift this is the bare joint amplitude.  With a shift the two
-    OAM-tagged branches are evaluated at oppositely displaced arguments of
-    the phase-matching profile (the pump envelope is unaffected) and
-    combined per point as the larger branch magnitude: the branches carry
-    orthogonal OAM tags, so their intensities do not interfere.
+    The two OAM-tagged branches are the phase-matching profile at oppositely
+    displaced arguments, ``tag = +-l * omega_rot`` (0 without a shift), times
+    the pump envelope, which the shifts leave unchanged.  They are combined
+    per point as the larger branch magnitude: the branches carry orthogonal
+    OAM tags, so their intensities do not interfere.
     """
     if n < 16:
         raise ValueError("grid size n must be at least 16")
@@ -121,17 +129,12 @@ def jsa_grid(
     axis = np.linspace(-half_width, half_width, n)
     nu1 = axis[:, None]
     nu2 = axis[None, :]
+    tag = 0.0 if shift is None else shift.l * shift.omega_rot
     with np.errstate(all="ignore"):  # the finiteness check below reports overflow and 0/0
-        if shift is None or shift.l == 0:
-            values = jsa_value(nu1, nu2, pump, pm)
-        else:
-            tag = shift.l * shift.omega_rot
-            # the pump envelope acts on nu1 + nu2, untouched by the opposite shifts,
-            # so taking the larger branch magnitude commutes with applying it
-            envelope = np.exp(-((nu1 + nu2) ** 2) / (2.0 * pump.sigma**2))
-            kernel_a = np.exp(-pm.gamma * (pm.a_coef * (nu1 + tag) - pm.a_coef * (nu2 - tag)) ** 2)
-            kernel_b = np.exp(-pm.gamma * (pm.a_coef * (nu1 - tag) - pm.a_coef * (nu2 + tag)) ** 2)
-            values = np.maximum(kernel_a, kernel_b) * envelope
+        # taking the larger branch commutes with the common envelope, applied once
+        values = _profile(nu1, nu2, pm, tag)
+        np.maximum(values, _profile(nu1, nu2, pm, -tag), out=values)
+        values *= _envelope(nu1, nu2, pump)
     if not np.isfinite(values).all():
         # e.g. sigma**2 underflowing to 0 makes the envelope 0/0 on the antidiagonal
         raise ValueError("joint amplitude is not finite on the grid; check sigma and the "
@@ -192,10 +195,3 @@ def effective_coherence_time(pm: PhaseMatchGaussian) -> float:
     Doubling A doubles it; quadrupling gamma doubles it.
     """
     return 2.0 * abs(pm.a_coef) * math.sqrt(pm.gamma)
-
-
-def phase_match_for_coherence_time(tau_c: float, gamma: float = 0.1) -> PhaseMatchGaussian:
-    """Inverse of :func:`effective_coherence_time` at a chosen gamma."""
-    if not tau_c > 0.0:
-        raise ValueError("tau_c must be positive")
-    return PhaseMatchGaussian(gamma=gamma, a_coef=tau_c / (2.0 * math.sqrt(gamma)))

@@ -90,7 +90,10 @@ class CrystalConfig:
             raise ValueError("cut angle must lie strictly between 0 and 90 degrees")
         if not self.pump_frequency_thz > 0.0:
             raise ValueError("pump frequency must be positive")
-        _check_window(wavelength_um(self.pump_frequency_thz), "pump wavelength")
+        lam, (lo, hi) = wavelength_um(self.pump_frequency_thz), WAVELENGTH_WINDOW_UM
+        if not lo <= lam <= hi:
+            raise ValueError(
+                f"pump wavelength {lam:.4f} um outside the supported window [{lo}, {hi}] um")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +132,6 @@ def wavelength_um(frequency_thz: float) -> float:
     return SPEED_OF_LIGHT_UM_THZ / frequency_thz
 
 
-def _check_window(lam_um: float, name: str = "wavelength") -> None:
-    lo, hi = WAVELENGTH_WINDOW_UM
-    if not lo <= lam_um <= hi:
-        raise ValueError(f"{name} {lam_um:.4f} um outside the supported window [{lo}, {hi}] um")
-
-
 def _sellmeier_index(coef: tuple[float, float, float, float], lam_um):
     """Index from one coefficient set; NaN outside the wavelength window."""
     a, b, c, d = coef
@@ -156,33 +153,6 @@ def _extraordinary_index(sellmeier: SellmeierSet, lam_um, theta_rad):
     """Index-ellipsoid index at theta_rad from the optic axis; NaN off the window or [0, pi/2]."""
     return _ellipsoid_index(_sellmeier_index(sellmeier.ordinary, lam_um),
                             _sellmeier_index(sellmeier.extraordinary, lam_um), theta_rad)
-
-
-def n_ordinary(lam_um: float, sellmeier: SellmeierSet = BBO_EIMERL_1987) -> float:
-    """Ordinary refractive index at a wavelength inside the supported window."""
-    _check_window(lam_um)
-    return float(_sellmeier_index(sellmeier.ordinary, lam_um))
-
-
-def n_principal_extraordinary(lam_um: float, sellmeier: SellmeierSet = BBO_EIMERL_1987) -> float:
-    """Extraordinary index for propagation perpendicular to the optic axis."""
-    _check_window(lam_um)
-    return float(_sellmeier_index(sellmeier.extraordinary, lam_um))
-
-
-def n_extraordinary(
-    lam_um: float, theta_rad: float, sellmeier: SellmeierSet = BBO_EIMERL_1987
-) -> float:
-    """Angle-tuned extraordinary index from the index ellipsoid.
-
-    ``theta_rad`` is the propagation angle relative to the optic axis;
-    the result interpolates continuously between the ordinary index at 0
-    and the principal extraordinary index at pi/2.
-    """
-    if not 0.0 <= theta_rad <= math.pi / 2.0:
-        raise ValueError("theta must lie in [0, pi/2]")
-    _check_window(lam_um)
-    return float(_extraordinary_index(sellmeier, lam_um, theta_rad))
 
 
 def _pump_wavenumber(cfg: CrystalConfig) -> float:

@@ -1,9 +1,10 @@
 """Recover beat frequency, envelope time and visibility from a dip trace.
 
-The forward model is ``1/2 - (V/2) cos(beta tau) exp(-tau^2 / (2 tau_c^2))``
-with ``beta`` the beat (twice the OAM charge times the rotation rate).  Only
-that product is identifiable: any factorization of the same beat produces
-the same trace and therefore the same estimate.
+The forward model is :func:`hombeat.hom_interference.dip_model` at
+visibility ``V``, envelope time ``tau_c`` and beat ``beta`` (twice the OAM
+charge times the rotation rate).  Only that product is identifiable: any
+factorization of the same beat produces the same trace and therefore the
+same estimate.
 
 Fitting proceeds in three steps: the envelope is fitted first, the beat is
 then read off a demodulated spectrum, and finally all three parameters are
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hom_interference import HomConfig, coincidence_rde
+from .hom_interference import HomConfig, coincidence_rde, dip_model
 
 MIN_FIT_SAMPLES = 32
 
@@ -163,9 +164,8 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
 
     def evaluate(theta):
         v, b, u = unpack(theta)
-        env = np.exp(-tau2 / (2.0 * (u * t0) ** 2))
-        cos = np.cos(b / t0 * tau)
-        return 0.5 - 0.5 * v * cos * env - target, (cos, env)
+        p, cos, env = dip_model(tau, v, b / t0, u * t0)
+        return p - target, (cos, env)
 
     def jacobian(theta, shared):
         v, b, u = unpack(theta)

@@ -22,6 +22,7 @@ from hombeat.dataio import (
     read_hom_trace,
     write_csv,
 )
+from hombeat.joint_spectrum import PhaseMatchGaussian, PumpSpectrum, RdeShift, jsa_grid
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,37 @@ def test_block_cycling_nan_and_negative_zero_is_encoded_once():
     assert column.distinct.size == 3  # the NaN cells count as one value
     assert out.tobytes().translate(None, b"\0").decode() == "".join(
         _expected_cell(v) + "\n" for v in block.tolist())
+
+
+def test_symmetric_jsa_amplitude_blocks_are_encoded_directly(monkeypatch):
+    # the shifted amplitude is bit-symmetric under nu1 <-> nu2, so its blocks
+    # repeat values in their first quarter; they are still far from few-valued
+    pm = PhaseMatchGaussian(gamma=0.1, a_coef=0.7 / (1e12 * math.sqrt(0.2)))
+    grid = jsa_grid(PumpSpectrum(center=1.0, sigma=1e12), pm, RdeShift(2, 1e12), 6e12, 1024)
+    assert np.array_equal(grid.values, grid.values.T)
+    sizes, distinct = [], dataio._distinct
+
+    def recording(values):
+        sizes.append(values.size)
+        return distinct(values)
+
+    monkeypatch.setattr(dataio, "_distinct", recording)
+    out = np.empty((BLOCK_ROWS, _CSV_TEMPLATE.size), np.uint8)
+    amplitude = grid.values.ravel()
+    for start in range(0, amplitude.size, BLOCK_ROWS):
+        column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
+        column.pack(amplitude[start:start + BLOCK_ROWS], out)
+        assert column.distinct is None  # no block was encoded once per value
+    assert sizes == [BLOCK_ROWS // 4 + 1] * (amplitude.size // BLOCK_ROWS)
+    block = amplitude[-BLOCK_ROWS:]
+    assert out.tobytes().translate(None, b"\0").decode() == "".join(
+        _expected_cell(v) + "\n" for v in block.tolist())
+    # the nu1 column holds 16 values a block: it still takes encode-once
+    sizes.clear()
+    column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
+    column.pack(np.repeat(grid.axis1, 1024)[:BLOCK_ROWS], out)
+    assert sizes == [BLOCK_ROWS // 4 + 1, BLOCK_ROWS]
+    assert np.array_equal(column.distinct, grid.axis1[:16])
 
 
 def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):

@@ -14,6 +14,7 @@ from hombeat.hom_interference import (
     coincidence_numeric,
     coincidence_plain,
     coincidence_rde,
+    dip_model,
     fwhm_bandwidth,
     make_shifted_spectra,
     observability,
@@ -75,6 +76,19 @@ def test_closed_forms_take_arrays():
     assert type(coincidence_rde(1e-12, TAU_C, 2, 2e12)) is float
     assert type(coincidence_plain(np.float64(1e-12), TAU_C)) is float
     assert np.array_equal(coincidence_plain(taus, TAU_C), coincidence_rde(taus, TAU_C, 0, 0.0))
+
+
+def test_dip_model_scales_the_dip_by_its_visibility():
+    taus = np.linspace(-3e-12, 3e-12, 61)
+    full, cos, envelope = dip_model(taus, 1.0, 4e12, TAU_C)
+    assert np.array_equal(full, coincidence_rde(taus, TAU_C, 2, 1e12))
+    assert np.array_equal(cos, np.cos(4e12 * taus))
+    assert np.array_equal(envelope, np.exp(-(taus * taus) / (2.0 * TAU_C * TAU_C)))
+    half = dip_model(taus, 0.5, 4e12, TAU_C)[0]
+    np.testing.assert_allclose(half - 0.5, 0.5 * (full - 0.5), rtol=0.0, atol=1e-16)
+    assert np.array_equal(dip_model(taus, 0.0, 4e12, TAU_C)[0], np.full(taus.shape, 0.5))
+    # a delay whose square overflows has an envelope of exactly 0, without a warning
+    assert dip_model(np.array([1e300]), 1.0, 0.0, TAU_C)[2][0] == 0.0
 
 
 def test_closed_forms_validate():

@@ -273,7 +273,8 @@ def test_property_norm_preserved_through_pipeline(l, omega_rot, center):
 def test_property_exchange_symmetry(l, omega_rot, center):
     output = run_pipeline(l, omega_rot, center)[-1]
     swapped = TwoPhotonState(
-        tuple(t.swapped() for t in output.terms), output.center_frequency
+        tuple(ProductTerm(t.amplitude, t.photon2, t.photon1) for t in output.terms),
+        output.center_frequency,
     )
     assert state_overlap(output, swapped) == pytest.approx(1.0, abs=NORM_TOL)
 

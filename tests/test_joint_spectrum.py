@@ -2,20 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hombeat.hom_interference import coincidence_plain, coincidence_numeric, make_shifted_spectra
+from hombeat.hybrid_state import run_pipeline
 from hombeat.joint_spectrum import (
     JsaGrid,
     PhaseMatchGaussian,
     PumpSpectrum,
     RdeShift,
+    _envelope,
+    _profile,
     effective_coherence_time,
     jsa_grid,
     jsa_value,
     peak_locations,
-    phase_match_for_coherence_time,
 )
 
 SIGMA = 1e12
@@ -142,6 +144,40 @@ def test_grid_values_normalized(pump, pm):
     assert grid.values.max() == 1.0
 
 
+@pytest.mark.parametrize("l, omega_rot", [(2, 1e12), (1, -4e11), (3, 2.5e11)])
+def test_shifted_grid_is_the_larger_displaced_amplitude(pump, pm, l, omega_rot):
+    grid = jsa_grid(pump, pm, RdeShift(l=l, omega_rot=omega_rot), 6e12, 128)
+    nu1, nu2, tag = grid.axis1[:, None], grid.axis2[None, :], l * omega_rot
+    expected = np.maximum(jsa_value(nu1 + tag, nu2 - tag, pump, pm),
+                          jsa_value(nu1 - tag, nu2 + tag, pump, pm))
+    np.testing.assert_allclose(grid.values, expected / expected.max(), rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    l=st.integers(min_value=1, max_value=3),
+    tag=st.floats(min_value=1e6, max_value=1e14),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_property_state_detunings_land_on_the_branch_peaks(l, tag, sign):
+    # below |l omega| ~ 1e6 rad/s the other branch rounds to 1.0 as well
+    omega_rot = sign * tag / l
+    assume(1e6 <= abs(l * omega_rot) <= 1e14)
+    pump = PumpSpectrum(center=2.0 * math.pi * 370.44e12, sigma=SIGMA)
+    pm = PhaseMatchGaussian(gamma=GAMMA, a_coef=A_COEF)
+    terms = run_pipeline(l, omega_rot, pump.center)[-1].terms
+    assert len(terms) == 2
+    branches = []
+    for term in terms:
+        d = term.photon1.detuning
+        assert term.photon2.detuning == -d and abs(d) == abs(l * omega_rot)
+        peak = [_profile(d, -d, pm, t) * _envelope(d, -d, pump) == 1.0
+                for t in (l * omega_rot, -l * omega_rot)]
+        assert peak.count(True) == 1
+        branches.append(peak.index(True))
+    assert sorted(branches) == [0, 1]
+
+
 def test_all_zero_grid_has_no_peaks():
     grid = JsaGrid(
         axis1=np.linspace(-1.0, 1.0, 16),
@@ -202,10 +238,3 @@ def test_coherence_time_consistent_with_numeric_dip(pm):
         numeric = coincidence_numeric(tau, spectra)
         closed = coincidence_plain(tau, tau_c)
         assert numeric == pytest.approx(closed, abs=1e-6)
-
-
-def test_phase_match_for_coherence_time_round_trip():
-    pm2 = phase_match_for_coherence_time(1e-12, gamma=0.25)
-    assert effective_coherence_time(pm2) == pytest.approx(1e-12, rel=1e-12)
-    with pytest.raises(ValueError):
-        phase_match_for_coherence_time(0.0)

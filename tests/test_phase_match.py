@@ -18,12 +18,11 @@ from hombeat.phase_match import (
     IntersectionResult,
     NoSolutionError,
     SellmeierSet,
+    _extraordinary_index,
+    _sellmeier_index,
     bandwidth_error,
     emission_curves,
     find_intersection,
-    n_extraordinary,
-    n_ordinary,
-    n_principal_extraordinary,
     wavelength_um,
 )
 
@@ -49,6 +48,18 @@ def config(cut_deg):
 # dispersion
 
 
+def n_ordinary(lam):
+    return float(_sellmeier_index(BBO_EIMERL_1987.ordinary, lam))
+
+
+def n_principal_extraordinary(lam):
+    return float(_sellmeier_index(BBO_EIMERL_1987.extraordinary, lam))
+
+
+def n_extraordinary(lam, theta):
+    return float(_extraordinary_index(BBO_EIMERL_1987, lam, theta))
+
+
 def test_ordinary_index_frozen_values():
     assert n_ordinary(0.405) == pytest.approx(N_O_405, abs=1e-12)
     assert n_ordinary(0.81) == pytest.approx(N_O_810, abs=1e-12)
@@ -58,16 +69,19 @@ def test_ordinary_index_frozen_values():
 
 
 def test_ordinary_index_normal_dispersion():
-    lams = [0.4 + 0.6 * i / 200 for i in range(201)]
-    values = [n_ordinary(lam) for lam in lams]
-    assert all(a > b for a, b in zip(values, values[1:]))
+    lams = np.array([0.4 + 0.6 * i / 200 for i in range(201)])
+    values = _sellmeier_index(BBO_EIMERL_1987.ordinary, lams)
+    assert np.all(values[:-1] > values[1:])
 
 
 def test_index_window_enforced():
-    with pytest.raises(ValueError):
-        n_ordinary(0.2)
-    with pytest.raises(ValueError):
-        n_ordinary(1.6)
+    # the array path every solve uses answers NaN outside the window
+    lo, hi = WAVELENGTH_WINDOW_UM
+    lams = np.array([0.2, np.nextafter(lo, 0.0), lo, 0.8, hi, np.nextafter(hi, 2.0), 1.6])
+    outside = np.array([True, True, False, False, False, True, True])
+    for coef in (BBO_EIMERL_1987.ordinary, BBO_EIMERL_1987.extraordinary):
+        assert np.array_equal(np.isnan(_sellmeier_index(coef, lams)), outside)
+    assert np.array_equal(np.isnan(_extraordinary_index(BBO_EIMERL_1987, lams, 0.5)), outside)
 
 
 def test_extraordinary_index_endpoints():
@@ -88,18 +102,19 @@ def test_extraordinary_index_at_45_degrees_bracketed():
 @settings(max_examples=100, deadline=None)
 @given(lam=st.floats(min_value=0.35, max_value=1.4))
 def test_property_extraordinary_index_monotone_in_angle(lam):
-    thetas = [math.pi / 2.0 * i / 64 for i in range(65)]
-    values = [n_extraordinary(lam, t) for t in thetas]
-    assert all(a >= b for a, b in zip(values, values[1:]))
+    thetas = np.array([math.pi / 2.0 * i / 64 for i in range(65)])
+    values = _extraordinary_index(BBO_EIMERL_1987, lam, thetas)
+    assert np.all(values[:-1] >= values[1:])
     assert values[0] == pytest.approx(n_ordinary(lam), abs=1e-15)
     assert values[-1] == pytest.approx(n_principal_extraordinary(lam), abs=1e-15)
 
 
 def test_angle_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        n_extraordinary(0.405, -0.1)
-    with pytest.raises(ValueError):
-        n_extraordinary(0.405, math.pi)
+    # NaN off [0, pi/2]
+    thetas = np.array([-0.1, -1e-300, 0.0, 1.0, math.pi / 2.0, np.nextafter(math.pi / 2.0, 4.0),
+                       math.pi])
+    values = _extraordinary_index(BBO_EIMERL_1987, 0.405, thetas)
+    assert np.array_equal(np.isnan(values), [True, True, False, False, False, True, True])
 
 
 def test_wavelength_conversion():
