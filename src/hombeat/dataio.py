@@ -11,10 +11,16 @@ bytes, which one NUL-delete turns into text.  Each value's 12-digit
 mantissa and decimal exponent come from float64 scaling by exact powers of
 ten, or from Python's correctly rounded ``format`` near a rounding tie, so
 every cell is exactly ``format_float``'s text, the one scalar definition.
+
+Reading parses a block of rows with numpy's C text reader, which converts
+each cell with the same correctly rounded ``PyOS_string_to_double`` as
+``float``; a block it rejects is read line by line, where an empty cell is
+NaN and a malformed row or cell is reported.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
@@ -49,9 +55,6 @@ def format_float(x: float) -> str:
 BLOCK_ROWS = 1 << 14
 # characters read per step, about BLOCK_ROWS lines of a written document
 READ_CHARS = 1 << 20
-
-# every byte but the cell and line separators, deleted to check the row shape
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
 
 # ---------------------------------------------------------------------------
 # Cell text as bytes, many cells at once.  Every finite nonzero value becomes
@@ -341,16 +344,18 @@ def _skip_line(line: str, meta: dict[str, str]) -> bool:
 
 
 def _parse_numbers(text: str, width: int) -> np.ndarray | None:
-    """Newline-terminated lines as rows of ``width`` numbers, or None if any is not one."""
-    row_shape = b"," * (width - 1) + b"\n"
-    if text.encode().translate(None, _NOT_SEPARATORS) != row_shape * text.count("\n"):
+    """Lines as rows of ``width`` numbers, or None if any is not one.
+
+    Empty lines are skipped.  A block of only blank lines is None: numpy's
+    reader would warn that it holds no data.
+    """
+    if text.isspace():
         return None
-    cells = text.replace("\n", ",").split(",")
-    cells.pop()  # after the final newline
     try:
-        return np.fromiter(map(float, cells), float, len(cells)).reshape(-1, width)
+        rows = np.loadtxt(io.StringIO(text), float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        return None  # an empty or bad cell
+        return None  # an empty or bad cell, or a ragged row
+    return rows if rows.shape[1] == width else None
 
 
 def _parse_rows(lines: list[str], width: int) -> np.ndarray:
@@ -390,7 +395,8 @@ def read_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     Returns the metadata mapping and the columns as float arrays; empty
     cells become NaN.  Raises ValueError on structural problems.  After the
     header, the file is read READ_CHARS at a time; a block of only full
-    numeric rows is parsed in one pass, any other block line by line.
+    numeric rows (blank lines aside) is parsed by numpy's C reader, any
+    other block line by line.
     """
     meta: dict[str, str] = {}
     names: list[str] | None = None
@@ -406,7 +412,8 @@ def read_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
         if names is None:
             raise ValueError("malformed CSV: no column header line")
         for text in _text_blocks(fh):
-            rows = None if "#" in text else _parse_numbers(text, len(names))
+            # a comment line is a bad cell to the parser, so its block goes line by line
+            rows = _parse_numbers(text, len(names))
             if rows is None:
                 data = [line for line in text.split("\n")[:-1] if not _skip_line(line, meta)]
                 rows = _parse_rows(data, len(names))

@@ -107,23 +107,25 @@ def synthesize_trace(cfg: HomConfig, noise_sigma: float, seed: int) -> NoisyTrac
     return NoisyTrace(tau=tau, p=p, noise_sigma=noise_sigma, rng_seed=seed)
 
 
-def _damped_gauss_newton(evaluate, jacobian, theta0, max_iter=MAX_ITERATIONS, rel_tol=REL_TOL):
+def _damped_gauss_newton(evaluate, normal_equations, theta0, max_iter=MAX_ITERATIONS,
+                         rel_tol=REL_TOL):
     """Minimize ||r(theta)||^2 with step-halving damping.
 
-    ``evaluate(theta)`` returns the residual and the intermediates that
-    ``jacobian(theta, intermediates)`` reuses at the same theta.  Returns
-    (theta, residual, converged, iterations).  A singular normal matrix or a
-    step that cannot reduce the objective ends the fit unconverged with the
-    best parameters found so far.
+    ``evaluate(theta)`` returns the residual r and the intermediates that
+    ``normal_equations(theta, r, intermediates)`` reuses to return J^T J and
+    J^T r at the same theta, J being the Jacobian of r.  Returns (theta,
+    residual, converged, iterations).  A singular normal matrix or a step
+    that cannot reduce the objective ends the fit unconverged with the best
+    parameters found so far.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, shared = evaluate(theta)
     ssr = float(r @ r)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        jac = jacobian(theta, shared)
+        jtj, jtr = normal_equations(theta, r, shared)
         try:
-            step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+            step = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
             return theta, r, False, iterations
         if not np.all(np.isfinite(step)):
@@ -155,7 +157,7 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
     t0 = tau_c0
     free = np.array([True, free_beat, True])
     start = np.array([v0, beat0 * t0, 1.0])
-    tau2 = tau**2
+    x = tau / t0
 
     def unpack(theta):
         full = start.copy()
@@ -167,17 +169,26 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
         p, cos, env = dip_model(tau, v, b / t0, u * t0)
         return p - target, (cos, env)
 
-    def jacobian(theta, shared):
+    def normal_equations(theta, r, shared):
+        # the Jacobian's columns are scales times shapes: d/dV = -cos env / 2,
+        # d/db = (v/2) sin env x and d/du = -(v / (2 u^3)) cos env x^2
         v, b, u = unpack(theta)
         cos, env = shared
-        d_v = -0.5 * cos * env
-        d_b = 0.5 * v * np.sin(b / t0 * tau) * env * tau / t0
-        d_u = -0.5 * v * cos * env * tau2 / ((u * t0) ** 2 * u)
-        return np.column_stack([d_v, d_b, d_u])[:, free]
+        ce = cos * env
+        shapes = [ce, ce * x * x]
+        scales = [-0.5, -0.5 * v / u**3]
+        if free_beat:
+            shapes.insert(1, np.sin(b / t0 * tau) * env * x)
+            scales.insert(1, 0.5 * v)
+        jtj = np.array([[a @ b for b in shapes] for a in shapes])
+        s = np.array(scales)
+        # a zero entry stays zero where the product of two scales would overflow
+        return jtj * s[:, None] * s, s * [a @ r for a in shapes]
 
     # a trace far outside [0, 1] overflows the squares: its fit ends unconverged, rms inf
     with np.errstate(over="ignore"):
-        theta, r, converged, iterations = _damped_gauss_newton(evaluate, jacobian, start[free])
+        theta, r, converged, iterations = _damped_gauss_newton(evaluate, normal_equations,
+                                                               start[free])
         rms = float(np.sqrt(np.mean(r**2)))
     v, b, u = unpack(theta)
     return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
@@ -289,7 +300,9 @@ def _spread(x: np.ndarray, c: np.ndarray, m_grid: int, t: float) -> np.ndarray:
 def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
     """Hann-windowed magnitude spectrum on a fine angular-frequency grid.
 
-    Uniform delay grids use a zero-padded ``rfft``.  Non-uniform grids use a
+    Uniform delay grids use an ``rfft`` zero-padded to the 5-smooth length
+    at or above ``_OVERSAMPLE * n`` (:func:`_fft_length`), which numpy
+    transforms fast whatever n factors into.  Non-uniform grids use a
     type-1 non-uniform FFT by Gaussian gridding (Greengard & Lee, SIAM Rev.
     46, 443 (2004)) on ``_OVERSAMPLE * n // 2 + 1`` bins spaced
     ``2 pi / (_OVERSAMPLE * span)`` from zero; it matches the direct transform
@@ -301,7 +314,7 @@ def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
     dt = np.diff(tau)
     uniform = np.allclose(dt, dt.mean(), rtol=1e-9, atol=0.0)
     if uniform:
-        n_pad = _OVERSAMPLE * n
+        n_pad = _fft_length(_OVERSAMPLE * n)
         spectrum = np.abs(np.fft.rfft(yw, n=n_pad))
         freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=float(dt.mean()))
         return freqs, spectrum
@@ -352,13 +365,13 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     if span <= 0.0:
         return 0.0
     freqs, spectrum = _magnitude_spectrum(tau, y)
-    guard = 2.5 * 2.0 * math.pi / span
-    candidates = freqs >= guard
-    if not candidates.any() or spectrum.max() <= 0.0:
+    # the first bin at or above the guard, on the ascending frequencies
+    offset = int(np.searchsorted(freqs, 2.5 * 2.0 * math.pi / span))
+    top = float(spectrum.max())
+    if offset == freqs.size or top <= 0.0:
         return 0.0
-    offset = int(np.argmax(candidates))
-    k = offset + int(np.argmax(spectrum[candidates]))
-    if spectrum[k] < 0.5 * spectrum.max():
+    k = offset + int(np.argmax(spectrum[offset:]))
+    if spectrum[k] < 0.5 * top:
         return 0.0  # dominant energy sits at low frequency: no resolvable beat
     if 1 <= k < freqs.size - 1 and spectrum[k - 1] > 0.0 and spectrum[k + 1] > 0.0:
         a, b, c = np.log(spectrum[k - 1 : k + 2])

@@ -209,10 +209,13 @@ def heatmap(
     nx, ny = x_axis.size, y_axis.size
     cw = (x1 - x0) / nx
     ch = (y1 - y0) / ny
+    # a rect reaches 0.5 px into the next cell to hide the seam where that stops
+    # short of the cell's centre: along an axis of cells of at least 1 px
+    pad_x, pad_y = (0.5 if size >= 1.0 else 0.0 for size in (cw, ch))
     xs = _text_table([f'<rect x="{x0 + i * cw:.2f}" y="' for i in range(nx)])
-    ys = _text_table([f'{y1 - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" height="'
+    ys = _text_table([f'{y1 - (j + 1) * ch:.2f}" width="{cw + pad_x:.2f}" height="'
                       for j in range(ny)])
-    heights = _text_table([f'{n * ch + 0.5:.2f}" fill="#' for n in range(1, ny + 1)])
+    heights = _text_table([f'{n * ch + pad_y:.2f}" fill="#' for n in range(1, ny + 1)])
     background = (f'<rect x="{x0}" y="{y0}" width="{x1 - x0 + 0.5:.2f}" '
                   f'height="{y1 - y0 + 0.5:.2f}" fill="#000000"/>')
     step = max(1, BLOCK_POINTS // ny)

@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,90 @@ def test_empty_cell_in_one_block_leaves_the_others_intact(tmp_path):
     np.testing.assert_array_equal(columns["x"], x)
     np.testing.assert_allclose(columns["y"], y, rtol=1e-11)
     assert np.isnan(columns["y"]).sum() == 1
+
+
+def _float_per_cell(path):
+    """The data rows of a document, each cell parsed by float(); an empty cell is NaN."""
+    lines = path.read_text().split("\n")[1:-1]
+    rows = [[float(cell.strip() or "nan") for cell in line.split(",")] for line in lines if line]
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
+
+
+def _read_bits(path):
+    _, columns = read_csv(path)
+    return np.column_stack(list(columns.values())).view(np.int64)
+
+
+def _random_doubles(n, seed):
+    """Finite doubles of every exponent: random bit patterns, the non-finite ones dropped."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def test_read_gives_the_bits_of_float_on_written_documents(tmp_path):
+    values = np.concatenate([_random_doubles(60_000, 1), EDGE_VALUES, NEAR_TIES])
+    values = np.resize(values, (values.size // 3) * 3).reshape(-1, 3)
+    path = tmp_path / "written.csv"
+    write_csv(path, {"a": values[:, 0], "b": values[:, 1], "c": values[:, 2]})
+    assert path.stat().st_size > READ_CHARS
+    np.testing.assert_array_equal(_read_bits(path), _float_per_cell(path).view(np.int64))
+
+
+def test_read_gives_the_bits_of_float_on_17_digit_text(tmp_path):
+    values = _random_doubles(40_000, 2)
+    values = np.concatenate([values, values * 1e-300, 1.0 + values[:1000] * 1e-308])
+    values = values[: (values.size // 2) * 2].reshape(-1, 2)
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", header="x,y", comments="")
+    np.testing.assert_array_equal(_read_bits(path), values.view(np.int64))
+    np.testing.assert_array_equal(_read_bits(path), _float_per_cell(path).view(np.int64))
+
+
+@pytest.mark.parametrize("row", [
+    "  1.5\t, 2e-3  ", "1_0,2_000.5", "nan,-inf", "Infinity,-Infinity", "NaN, inf ", "-0,+0",
+    "1e400,-1e-400", "0.1,0.30000000000000004",
+])
+def test_read_gives_the_bits_of_float_on_odd_cells(tmp_path, row):
+    path = tmp_path / "odd.csv"
+    path.write_text("x,y\n" + "\n".join([row] * 3 + ["1,2"]) + "\n")
+    np.testing.assert_array_equal(_read_bits(path), _float_per_cell(path).view(np.int64))
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["1,2", "3"], "row has 1 cells, expected 2"),
+    (["1,2", "3,4,5"], "row has 3 cells, expected 2"),
+    (["1,2", "3,spam"], "bad numeric cell 'spam'"),
+    (["1,2", "3,1,0"], "row has 3 cells, expected 2"),
+    (["1,2", "3, 4 5"], "bad numeric cell '4 5'"),
+])
+def test_malformed_rows_keep_their_messages(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"^malformed CSV: {message}$"):
+        read_csv(path)
+
+
+def test_empty_cells_read_as_nan(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x,y\n1,\n,2\n , \n3,4\n")
+    _, columns = read_csv(path)
+    np.testing.assert_array_equal(columns["x"], [1.0, math.nan, math.nan, 3.0])
+    np.testing.assert_array_equal(columns["y"], [math.nan, 2.0, math.nan, 4.0])
+
+
+@pytest.mark.parametrize("blank", ["\n", "\n \t\n"])
+def test_blank_tail_after_a_block_boundary_reads_quietly(tmp_path, capfd, blank):
+    rows = np.arange(2000.0).reshape(-1, 2)
+    path = tmp_path / "tail.csv"
+    write_csv(path, {"x": rows[:, 0], "y": rows[:, 1]})
+    with open(path, "a") as fh:
+        fh.write(blank * (READ_CHARS // len(blank) + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, columns = read_csv(path)
+    np.testing.assert_array_equal(np.column_stack([columns["x"], columns["y"]]), rows)
+    assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

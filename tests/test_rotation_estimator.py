@@ -210,6 +210,41 @@ def test_non_uniform_spectrum_memory_bounded_by_blocks():
     assert peak <= 64 * 2**20
 
 
+def _exact_8n_spectrum(tau, y):
+    """The uniform spectrum padded to exactly 8 n samples, as before the 5-smooth length."""
+    n_pad = 8 * tau.size
+    spectrum = np.abs(np.fft.rfft(y * np.hanning(tau.size), n=n_pad))
+    return 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=float(np.diff(tau).mean())), spectrum
+
+
+PRIME_SAMPLES = 51_563  # 8 n = 2^3 * 51,563: a Bluestein length for the FFT
+
+
+def test_uniform_spectrum_pads_to_a_5_smooth_length():
+    tr = synthesize_trace(cfg(span=2.2e-12, n=PRIME_SAMPLES), 0.01, seed=3)
+    freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, 0.5 - tr.p)
+    n_pad = rotation_estimator._fft_length(8 * PRIME_SAMPLES)
+    assert spectrum.size == freqs.size == n_pad // 2 + 1
+    dt = float(np.diff(tr.tau).mean())
+    np.testing.assert_allclose(np.diff(freqs), 2.0 * math.pi / (n_pad * dt), rtol=1e-9)
+
+
+def test_estimate_with_the_5_smooth_spectrum_matches_the_exact_8n_one(monkeypatch):
+    tr = synthesize_trace(cfg(span=2.2e-12, n=PRIME_SAMPLES), 0.01, seed=3)
+    sizes = []
+    spectrum = rotation_estimator._magnitude_spectrum
+    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum",
+                        lambda tau, y: sizes.append(tau.size) or spectrum(tau, y))
+    fast = estimate(tr)
+    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", _exact_8n_spectrum)
+    exact = estimate(tr)
+    assert sizes == [PRIME_SAMPLES]  # the whole trace lies in the analysis window
+    assert fast.beat == pytest.approx(BEAT_REFERENCE, rel=0.01)
+    assert fast.beat == pytest.approx(exact.beat, rel=1e-9)
+    assert (fast.converged, fast.below_resolution) == (exact.converged, exact.below_resolution)
+    assert fast.converged and not fast.below_resolution
+
+
 # ---------------------------------------------------------------------------
 # joint estimation
 
@@ -220,6 +255,44 @@ def test_fit_dip_with_shared_evaluation_is_bit_identical(free_beat):
     tr = synthesize_trace(c, 0.01, seed=5)
     args = (tr.tau, tr.p, 0.9, 1.01 * BEAT_REFERENCE, 1.05e-12, free_beat)
     assert rotation_estimator._fit_dip(*args) == dip_fit_reference.fit_dip(*args)
+
+
+def _stacked_jacobian(tau, theta, start, free, t0):
+    """The fit's Jacobian as explicit columns d/dV, d/db, d/du of the scaled parameters."""
+    full = start.copy()
+    full[free] = theta
+    v, b, u = full
+    arg = b / t0 * tau
+    env = np.exp(-(tau**2) / (2.0 * (u * t0) ** 2))
+    d_v = -0.5 * np.cos(arg) * env
+    d_b = 0.5 * v * np.sin(arg) * env * tau / t0
+    d_u = -0.5 * v * np.cos(arg) * env * tau**2 / ((u * t0) ** 2 * u)
+    return np.column_stack([d_v, d_b, d_u])[:, free]
+
+
+@pytest.mark.parametrize("free_beat", [True, False])
+def test_normal_equations_match_the_stacked_jacobian(monkeypatch, free_beat):
+    tr = synthesize_trace(cfg(span=2.2e-12, n=20_001), 0.01, seed=5)
+    t0, v0, beat0 = 1.05e-12, 0.9, 1.01 * BEAT_REFERENCE
+    free = np.array([True, free_beat, True])
+    start = np.array([v0, beat0 * t0, 1.0])
+    checked = []
+
+    def check(evaluate, normal_equations, theta0):
+        for theta in (theta0, theta0 * [1.02, 0.99, 1.03][: theta0.size]):
+            r, shared = evaluate(theta)
+            jtj, jtr = normal_equations(theta, r, shared)
+            jac = _stacked_jacobian(tr.tau, theta, start, free, t0)
+            norms = np.linalg.norm(jac, axis=0)
+            # each entry against its Cauchy-Schwarz bound
+            assert np.all(np.abs(jtj - jac.T @ jac) <= 1e-12 * np.outer(norms, norms))
+            assert np.all(np.abs(jtr - jac.T @ r) <= 1e-12 * norms * np.linalg.norm(r))
+            checked.append(theta.size)
+        return theta0, r, False, 0
+
+    monkeypatch.setattr(rotation_estimator, "_damped_gauss_newton", check)
+    rotation_estimator._fit_dip(tr.tau, tr.p, v0, beat0, t0, free_beat)
+    assert checked == [3 if free_beat else 2] * 2
 
 
 def test_estimate_round_trip_noiseless():

@@ -90,6 +90,17 @@ def test_heatmap_draws_each_cell_once_per_colour_run(tmp_path_factory, nx, ny, d
     assert len(_RECT.findall(path.read_text())) == 2 + runs
 
 
+@pytest.mark.parametrize("nx,ny", [(600, 8), (8, 600)])
+def test_sub_pixel_cells_show_their_own_colour_at_the_centre(tmp_path, nx, ny):
+    # every other cell black, so a rect that reaches past its cell shows at the
+    # centre of a black neighbour, in the next row and in the next column
+    values = np.random.default_rng(nx).uniform(0.2, 1.0, size=(nx, ny))
+    values[np.add.outer(np.arange(nx), np.arange(ny)) % 2 == 0] = 0.0
+    path = tmp_path / "heat.svg"
+    svgplot.heatmap(path, np.arange(float(nx)), np.arange(float(ny)), values)
+    assert _raster(path, nx, ny) == _expected_fills(values)
+
+
 def test_reference_heatmap_stays_small(tmp_path):
     svg = tmp_path / "jsa.svg"
     assert main(["jsa", "--rde-l", "2", "--rde-omega", "2e12", "--grid", "256",
