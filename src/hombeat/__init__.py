@@ -30,10 +30,9 @@ _EXPORTS = {
         "jsa_grid", "jsa_value", "peak_locations",
     ),
     "hom_interference": (
-        "GaussianSpectralAmplitude", "HomConfig", "HomTrace", "QuadratureError",
-        "RestrictedDensityMatrix", "coincidence_numeric", "coincidence_plain", "coincidence_rde",
-        "dip_model", "fwhm_bandwidth", "make_shifted_spectra", "observability",
-        "restricted_density_matrix", "trace", "visibility",
+        "HomConfig", "HomTrace", "QuadratureError", "RestrictedDensityMatrix",
+        "coincidence_numeric", "coincidence_plain", "coincidence_rde", "dip_model",
+        "fwhm_bandwidth", "observability", "restricted_density_matrix", "trace", "visibility",
     ),
     "rotation_estimator": (
         "EnvelopeFit", "EstimateResult", "NoisyTrace", "estimate", "extract_beat",

@@ -377,7 +377,7 @@ COMMANDS = {
         ("tau_span", float, 3e-12,
          "half span of the delay scan, s (grid covers [-span, +span])"),
         ("method", ("closed", "numeric"), "closed",
-         "closed form or quadrature of the overlap integral"),
+         "closed form or the joint spectrum's exchange-overlap sum"),
         ("out", str, "hom.csv", "output CSV path"),
         ("svg", str, None, "optional SVG line plot path"),
     )),

@@ -2,10 +2,11 @@
 
 Two routes are provided and kept deliberately independent.  The closed
 forms evaluate the Gaussian dip and its cosine-modulated variant directly.
-The numeric route builds the two single-photon spectral amplitudes, one per
-OAM branch, and evaluates the two-photon exchange overlap by composite
-Gauss-Legendre quadrature; for Gaussian spectra it must agree with the
-closed forms to better than 1e-6, which the test suite enforces.
+The numeric route takes one OAM branch of the joint spectrum, the
+phase-matching profile that ``jsa_grid`` also evaluates, and sums the
+Fourier transform of its difference-frequency density on a uniform grid;
+it must agree with the closed forms to better than 1e-6, which the test
+suite enforces.
 
 A note on bandwidth conventions: the full width at half maximum of the
 spectral density, ``2 sqrt(2 ln 2) / tau_c``, is used everywhere a
@@ -23,18 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
+from .joint_spectrum import PhaseMatchGaussian, _profile
 
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# Largest accepted quadrature error estimate; leaves an order of slack under
+# Largest accepted error estimate of the numeric dip; leaves an order of slack under
 # the 1e-6 agreement contract with the closed forms.
 _QUAD_ERR_LIMIT = 1e-7
-# Composite Gauss-Legendre (Golub & Welsch 1969) on equal panels at most one
-# amplitude width and two periods of cos(2 x tau) wide; there even the lower
-# order is far below _QUAD_ERR_LIMIT, so the orders' difference estimates the error.
-_GL_ORDERS = (20, 14)
-_NODES_PER_PERIOD = 10
-_PANEL_BUDGET = 4096
+_NODE_BUDGET = 1 << 14  # uniform-grid nodes of one numeric dip
 _BLOCK = 1 << 20  # cosine-matrix entries evaluated at once
 
 
@@ -87,7 +84,8 @@ class HomTrace:
     def __post_init__(self):
         if self.tau.shape != self.p.shape:
             raise ValueError("tau and p must have identical shapes")
-        if self.p.size and (self.p.min() < -1e-12 or self.p.max() > 1.0 + 1e-12):
+        # written so that NaN, which fails every comparison, fails the test too
+        if not np.all((self.p >= -1e-12) & (self.p <= 1.0 + 1e-12)):
             raise ValueError("coincidence probabilities must lie in [0, 1]")
 
 
@@ -107,41 +105,6 @@ class RestrictedDensityMatrix:
             raise ValueError("matrix must have unit trace")
         if np.linalg.eigvalsh(m).min() < -1e-12:
             raise ValueError("matrix must be positive semidefinite")
-
-
-@dataclass(frozen=True)
-class GaussianSpectralAmplitude:
-    """Unit-norm Gaussian spectral amplitude for one OAM branch.
-
-    ``sigma`` is the standard deviation of the intensity spectrum
-    ``|amplitude|^2``; a branch with envelope time tau_c has
-    ``sigma = 1 / (2 tau_c)``.
-    """
-
-    center: float  # rad/s detuning of the branch
-    sigma: float  # rad/s
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("spectral width must be positive")
-
-    def amplitude(self, nu):
-        w2 = self.sigma**2
-        return (2.0 * math.pi * w2) ** -0.25 * np.exp(-((nu - self.center) ** 2) / (4.0 * w2))
-
-
-def make_shifted_spectra(
-    tau_c: float, l: int, omega_rot: float
-) -> tuple[GaussianSpectralAmplitude, GaussianSpectralAmplitude]:
-    """The two branch spectra, centered at +l*omega_rot and -l*omega_rot."""
-    if not tau_c > 0.0:
-        raise ValueError("tau_c must be positive")
-    sigma = 1.0 / (2.0 * tau_c)
-    tag = l * omega_rot
-    return (
-        GaussianSpectralAmplitude(center=+tag, sigma=sigma),
-        GaussianSpectralAmplitude(center=-tag, sigma=sigma),
-    )
 
 
 def dip_model(tau, v, beat, tau_c):
@@ -177,67 +140,63 @@ def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
     return float(p) if p.ndim == 0 else p
 
 
-def coincidence_numeric(
-    tau,
-    spectra: tuple[GaussianSpectralAmplitude, GaussianSpectralAmplitude],
-):
-    """Coincidence probability from the exchange-overlap integral.
+def coincidence_numeric(tau, tau_c: float, l: int, omega_rot: float):
+    """Coincidence probability from the exchange overlap of one joint-spectrum branch.
 
-    The two-photon amplitude has one branch per OAM tag; exchanging the
-    photons maps each branch onto the other, so the interference term is the
-    branch-symmetrized overlap
+    The branch is ``joint_spectrum._profile`` shifted by ``l omega_rot``, with
+    ``gamma = 1/4`` and ``A = tau_c`` so that its effective coherence time is
+    ``tau_c``.  The pump envelope depends on the frequency sum only and cancels
+    in the exchange overlap, so the dip is the Fourier transform of the
+    difference-frequency density ``rho(d) = |profile(d/2, -d/2)|^2``, centred
+    at ``d = -2 l omega_rot``:
 
-        1/2 - 1/2 * Re  integral  (1/2) [s+(x) s-(-x) + s-(x) s+(-x)] e^{2 i x tau} dx.
+        P(tau) = 1/2 - 1/2 * integral rho(d) cos(d tau) dd / integral rho(d) dd.
 
-    The symmetrized product is even in x for any pair of branches, so the
-    odd (sine) part integrates to zero and the cosine part is twice its
-    integral over x >= 0.  The window [-reach, reach] extends eight amplitude
-    widths beyond the farther branch center; its half [0, reach] is
-    integrated by composite Gauss-Legendre quadrature at the node density
-    the whole window needs.  A delay too long for a fixed panel budget over
-    the whole window raises :class:`QuadratureError`.  ``tau`` is one delay
-    (float result) or an array of delays (array result of the same shape).
+    Both integrals are sums on one uniform grid out to 8/tau_c either side of
+    the centre (rho is exp(-32) there) with a step of at most
+    ``h = pi / (max|tau| + 8 tau_c)``.  For this smooth, decaying integrand
+    such a sum errs only by aliases 2 pi / h away.  The sum over every other
+    node, the 2h rule, whose nearest alias is 8 tau_c beyond the longest
+    delay, estimates that error.  A grid over the node budget or an estimate
+    above 1e-7 raises :class:`QuadratureError`.  ``tau`` is one delay (float
+    result) or an array of delays (array result of the same shape).
     """
-    s_plus, s_minus = spectra
-    if abs(s_plus.sigma - s_minus.sigma) > 1e-9 * s_plus.sigma:
-        raise ValueError("branch spectra must share a common width")
-    amp_width = math.sqrt(2.0) * s_plus.sigma
-    reach = max(abs(s_plus.center), abs(s_minus.center)) + 8.0 * amp_width
-
+    if not tau_c > 0.0:
+        raise ValueError("tau_c must be positive")
+    if l < 0:
+        raise ValueError("l must be >= 0")
     taus = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
-    # panels over the whole window [-reach, reach]; its half takes half of them
-    periods = 2.0 * reach * float(np.max(np.abs(taus), initial=0.0)) / math.pi
-    panels = max(2.0 * reach / amp_width, periods * _NODES_PER_PERIOD / _GL_ORDERS[0])
-    if panels > _PANEL_BUDGET:
-        raise QuadratureError(
-            f"overlap quadrature needs {panels:.3g} panels, over the budget of {_PANEL_BUDGET}"
-        )
-    panels = math.ceil(0.5 * panels)
-    half = 0.5 * reach / panels
-    mids = half * (2.0 * np.arange(panels) + 1.0)
+    longest = float(np.max(np.abs(taus), initial=0.0))
+    half = 8.0 * (longest / tau_c + 8.0) / math.pi  # steps of h either side of the centre
+    if not half <= (_NODE_BUDGET - 1) // 2:
+        raise QuadratureError(f"delays up to {longest:.3g} s need more difference-frequency "
+                              f"nodes than the budget of {_NODE_BUDGET}")
+    half = math.ceil(half)
+    k = np.arange(-half, half + 1)
+    tag = l * omega_rot
+    d = 8.0 / tau_c / half * k - 2.0 * tag
+    pm = PhaseMatchGaussian(gamma=0.25, a_coef=tau_c)
+    rho = _profile(0.5 * d, -0.5 * d, pm, tag) ** 2
+    coarse = np.where(k % 2 == 0, rho, 0.0)  # the 2h rule, centre node included
+    weights = np.column_stack((rho / rho.sum(), coarse / coarse.sum()))
     flat = taus.ravel()
-    overlap, check = np.empty(flat.size), np.empty(flat.size)
-    for order, out in zip(_GL_ORDERS, (overlap, check)):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        x = (mids[:, None] + half * nodes).ravel()
-        sym = 0.5 * (
-            s_plus.amplitude(x) * s_minus.amplitude(-x)
-            + s_minus.amplitude(x) * s_plus.amplitude(-x)
-        )
-        weighted = np.tile(2.0 * half * weights, panels) * sym
-        rows = max(1, _BLOCK // x.size)
-        for i in range(0, flat.size, rows):
-            out[i : i + rows] = np.cos(2.0 * np.outer(flat[i : i + rows], x)) @ weighted
-    err = float(np.max(np.abs(overlap - check), initial=0.0))
-    if err > _QUAD_ERR_LIMIT:
+    sums = np.empty((flat.size, 2))
+    rows = max(1, _BLOCK // d.size)
+    for i in range(0, flat.size, rows):
+        sums[i : i + rows] = np.cos(np.outer(flat[i : i + rows], d)) @ weights
+    err = 0.5 * float(np.max(np.abs(sums[:, 0] - sums[:, 1]), initial=0.0))
+    # far from 0 the nodes round by up to half an ulp of the centre, which moves each
+    # cosine's phase by up to that times |tau| and its weight by about that times tau_c
+    err = max(err, 0.5 * math.ulp(2.0 * tag) * (tau_c + longest))
+    if not err <= _QUAD_ERR_LIMIT:  # NaN too
         raise QuadratureError(
-            f"overlap quadrature error estimate {err:.2e} exceeds {_QUAD_ERR_LIMIT:.0e}"
+            f"difference-frequency sum error estimate {err:.2e} exceeds {_QUAD_ERR_LIMIT:.0e}"
         )
-    p = (0.5 - 0.5 * overlap).reshape(taus.shape)
+    p = (0.5 - 0.5 * sums[:, 0]).reshape(taus.shape)
     if p.size and (p.min() < -1e-6 or p.max() > 1.0 + 1e-6):
-        raise QuadratureError("overlap quadrature produced an out-of-range probability")
+        raise QuadratureError("difference-frequency sum produced an out-of-range probability")
     p = np.clip(p, 0.0, 1.0)
     return float(p) if p.ndim == 0 else p
 
@@ -250,7 +209,7 @@ def trace(cfg: HomConfig, method: str = "closed") -> HomTrace:
     if method == "closed":
         p = coincidence_rde(taus, cfg.tau_c, cfg.l, cfg.omega_rot)
     else:
-        p = coincidence_numeric(taus, make_shifted_spectra(cfg.tau_c, cfg.l, cfg.omega_rot))
+        p = coincidence_numeric(taus, cfg.tau_c, cfg.l, cfg.omega_rot)
     exceeded = bool(taus.size and np.max(np.abs(taus)) >= cfg.tau_c / 2.0)
     return HomTrace(
         tau=taus,

@@ -281,13 +281,32 @@ def test_hom_delays_whose_square_overflows_warn_nothing(tmp_path, capsys):
 
 
 def test_hom_numeric_failure_exits_3(tmp_path, capsys):
-    # a one-second delay makes the overlap integrand oscillate beyond any
-    # panel budget
+    # a one-second delay needs a difference-frequency grid far beyond the node budget
     code = run(
         ["hom", "--method", "numeric", "--tau-span", "1", "--points", "3",
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
+
+
+def test_hom_numeric_reaches_two_thousand_envelope_times(tmp_path):
+    # the former quadrature's panel budget reached about 2,274 tau_c at l = 0
+    out = tmp_path / "x.csv"
+    assert run(["hom", "--method", "numeric", "--tau-c", "1e-12", "--tau-span", "2e-9",
+                "--points", "41", "--out", str(out)]) == 0
+    _, columns = read_csv(out)
+    assert np.isfinite(columns["p"]).all()
+
+
+def test_hom_numeric_at_a_large_branch_offset_matches_closed(tmp_path, capsys):
+    # l*omega*tau_c = 4,000: the former quadrature needed 1.13e4 panels here and exited 3
+    base = ["hom", "--tau-c", "1e-9", "--l", "2", "--omega", "2e12", "--tau-span", "3e-9"]
+    paths = {method: tmp_path / f"{method}.csv" for method in ("closed", "numeric")}
+    for method, path in paths.items():
+        assert run(base + ["--method", method, "--out", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    closed, numeric = (read_csv(path)[1]["p"] for path in paths.values())
+    assert np.max(np.abs(numeric - closed)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

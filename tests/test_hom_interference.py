@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from hombeat import hom_interference
 from hombeat.hom_interference import (
     FWHM_FACTOR,
-    GaussianSpectralAmplitude,
     HomConfig,
+    HomTrace,
     QuadratureError,
     coincidence_numeric,
     coincidence_plain,
     coincidence_rde,
     dip_model,
     fwhm_bandwidth,
-    make_shifted_spectra,
     observability,
     restricted_density_matrix,
     trace,
@@ -103,95 +102,79 @@ def test_closed_forms_validate():
 
 
 def test_numeric_matches_plain_without_shift():
-    spectra = make_shifted_spectra(TAU_C, 2, 0.0)
     for tau in np.linspace(-3e-12, 3e-12, 41):
-        assert coincidence_numeric(tau, spectra) == pytest.approx(
+        assert coincidence_numeric(tau, TAU_C, 2, 0.0) == pytest.approx(
             coincidence_plain(tau, TAU_C), abs=1e-6
         )
 
 
 def test_numeric_matches_beating_form():
-    spectra = make_shifted_spectra(TAU_C, 2, 2e12)
     taus = np.linspace(-3e-12, 3e-12, 101)
     worst = max(
-        abs(coincidence_numeric(t, spectra) - coincidence_rde(t, TAU_C, 2, 2e12))
+        abs(coincidence_numeric(t, TAU_C, 2, 2e12) - coincidence_rde(t, TAU_C, 2, 2e12))
         for t in taus
     )
     assert worst < 1e-6
 
 
 def test_numeric_zero_delay():
-    spectra = make_shifted_spectra(TAU_C, 2, 2e12)
-    assert abs(coincidence_numeric(0.0, spectra)) < 1e-9
-
-
-def test_numeric_requires_common_width():
-    uneven = (
-        GaussianSpectralAmplitude(center=1e12, sigma=1e11),
-        GaussianSpectralAmplitude(center=-1e12, sigma=2e11),
-    )
-    with pytest.raises(ValueError):
-        coincidence_numeric(0.0, uneven)
+    assert abs(coincidence_numeric(0.0, TAU_C, 2, 2e12)) < 1e-9
 
 
 def test_numeric_failure_is_reported():
-    # a delay this absurd makes the integrand oscillate far beyond what the
-    # panel budget can resolve
-    spectra = make_shifted_spectra(TAU_C, 2, 2e12)
+    # a delay this absurd needs a difference-frequency grid far beyond the node budget
     with pytest.raises(QuadratureError):
-        coincidence_numeric(1.0, spectra)
+        coincidence_numeric(1.0, TAU_C, 2, 2e12)
 
 
 def test_numeric_takes_arrays():
     taus = np.linspace(-3e-12, 3e-12, 60).reshape(3, 20)
     for omega in (0.0, 2e12):
-        spectra = make_shifted_spectra(TAU_C, 2, omega)
-        p = coincidence_numeric(taus, spectra)
+        p = coincidence_numeric(taus, TAU_C, 2, omega)
         assert p.shape == taus.shape
-        looped = np.array([[coincidence_numeric(float(t), spectra) for t in row] for row in taus])
+        looped = np.array([[coincidence_numeric(float(t), TAU_C, 2, omega) for t in row]
+                           for row in taus])
         assert np.max(np.abs(p - looped)) < 1e-12
 
 
 @pytest.mark.parametrize("tau_c,omega", [(TAU_C, 2e12), (1e-6, 2e6)])
 def test_numeric_far_wing_is_half(tau_c, omega):
-    # the integrand oscillates ~1,800 times over the window at 300 tau_c
-    spectra = make_shifted_spectra(tau_c, 2, omega)
-    assert coincidence_numeric(300.0 * tau_c, spectra) == pytest.approx(0.5, abs=1e-9)
-
-
-@pytest.mark.parametrize("centers", [(3e12, -1e12), (-1e12, 3e12), (1e12, -3e12)])
-def test_numeric_half_window_takes_branches_off_center(centers):
-    # the overlap's lobes sit at +-(c+ - c-)/2 = +-2e12 whatever the centers' mean;
-    # the reference is a dense trapezoid over a window symmetric about 0
-    spectra = tuple(GaussianSpectralAmplitude(center=c, sigma=5e11) for c in centers)
-    x = np.linspace(-1.5e13, 1.5e13, 30_001)
-    sym = 0.5 * (spectra[0].amplitude(x) * spectra[1].amplitude(-x)
-                 + spectra[1].amplitude(x) * spectra[0].amplitude(-x))
-    taus = np.linspace(-4e-12, 4e-12, 41)
-    integrand = sym * np.cos(2.0 * taus[:, None] * x)
-    trapezoid = (x[1] - x[0]) * (integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1]))
-    assert np.max(np.abs(coincidence_numeric(taus, spectra) - (0.5 - 0.5 * trapezoid))) < 1e-12
+    # the cosine turns ~2,400 times across the difference-frequency grid at 300 tau_c
+    assert coincidence_numeric(300.0 * tau_c, tau_c, 2, omega) == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("l,omega", [(2, 0.0), (2, 2e12), (10, 4e11)])
 def test_numeric_panel_budget_boundary(l, omega):
-    # the whole window [-reach, reach] needs _PANEL_BUDGET panels at the delay tau_edge
-    spectra = make_shifted_spectra(TAU_C, l, omega)
-    amp_width = math.sqrt(2.0) * spectra[0].sigma
-    window = 2.0 * (l * omega + 8.0 * amp_width)
-    tau_edge = (hom_interference._PANEL_BUDGET * hom_interference._GL_ORDERS[0]
-                / hom_interference._NODES_PER_PERIOD * math.pi / window)
-    assert coincidence_numeric(tau_edge * (1.0 - 1e-9), spectra) == pytest.approx(0.5, abs=1e-9)
-    with pytest.raises(QuadratureError, match="over the budget of 4096"):
-        coincidence_numeric(tau_edge * (1.0 + 1e-9), spectra)
+    # the grid has 2*ceil(8 (max|tau| + 8 tau_c) / (pi tau_c)) + 1 nodes whatever the branch
+    # offset, so the budget's last odd count is reached at the delay tau_edge
+    budget = hom_interference._NODE_BUDGET
+    tau_edge = ((budget - 1) // 2 * math.pi / 8.0 - 8.0) * TAU_C
+    assert tau_edge > 2274.0 * TAU_C  # the reach of the former panel budget at l = 0
+    assert coincidence_numeric(tau_edge * (1.0 - 1e-9), TAU_C, l, omega) == pytest.approx(
+        0.5, abs=1e-9
+    )
+    with pytest.raises(QuadratureError, match=f"budget of {budget}"):
+        coincidence_numeric(tau_edge * (1.0 + 1e-9), TAU_C, l, omega)
 
 
-def test_spectrum_normalization():
-    g = GaussianSpectralAmplitude(center=2e12, sigma=5e11)
-    x = np.linspace(2e12 - 8e12, 2e12 + 8e12, 20001)
-    density = g.amplitude(x) ** 2
-    norm = float(np.sum(0.5 * (density[1:] + density[:-1]) * np.diff(x)))
-    assert norm == pytest.approx(1.0, abs=1e-9)
+def test_numeric_rounded_nodes_at_a_huge_offset_are_reported():
+    # past l*omega ~ 1e21 at tau_c = 1 ps the nodes round to a few positions near
+    # the centre; the h and 2h sums then agree on a wrong dip (0.48 off at 1e30)
+    taus = np.linspace(-3e-12, 3e-12, 61)
+    assert np.max(np.abs(coincidence_numeric(taus, TAU_C, 1, 1e19)
+                         - coincidence_rde(taus, TAU_C, 1, 1e19))) < 1e-6
+    for omega in (1e22, 1e30):
+        with pytest.raises(QuadratureError, match="error estimate"):
+            coincidence_numeric(taus, TAU_C, 1, omega)
+
+
+def test_numeric_validates():
+    with pytest.raises(ValueError):
+        coincidence_numeric(0.0, 0.0, 2, 2e12)
+    with pytest.raises(ValueError):
+        coincidence_numeric(0.0, TAU_C, -1, 2e12)
+    with pytest.raises(ValueError):
+        coincidence_numeric([0.0, math.nan], TAU_C, 2, 2e12)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +225,18 @@ def test_trace_numeric_method_agrees():
     closed = trace(cfg, method="closed")
     numeric = trace(cfg, method="numeric")
     assert np.max(np.abs(closed.p - numeric.p)) < 1e-6
+
+
+def test_trace_numeric_never_calls_the_closed_forms(monkeypatch):
+    cfg = HomConfig(tau_c=TAU_C, l=2, omega_rot=2e12, tau_grid=grid(3e-12, 61))
+    expected = trace(cfg, method="numeric").p
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the numeric route called a closed form")
+
+    monkeypatch.setattr(hom_interference, "dip_model", fail)
+    monkeypatch.setattr(hom_interference, "coincidence_rde", fail)
+    assert np.array_equal(trace(cfg, method="numeric").p, expected)
 
 
 def test_config_rejects_non_finite_parameters():
@@ -319,8 +314,6 @@ def test_visibility_of_ideal_dip():
 
 
 def test_visibility_of_scaled_dip():
-    from hombeat.hom_interference import HomTrace
-
     _, taus, p = wide_trace(scale=0.4)
     partial = HomTrace(
         tau=taus, p=p, tau_c=TAU_C, l=0, omega_rot=0.0, method="closed"
@@ -329,8 +322,6 @@ def test_visibility_of_scaled_dip():
 
 
 def test_visibility_of_flat_trace():
-    from hombeat.hom_interference import HomTrace
-
     taus = np.linspace(-3e-12, 3e-12, 101)
     flat = HomTrace(
         tau=taus, p=np.full(101, 0.5), tau_c=TAU_C, l=0, omega_rot=0.0, method="closed"
@@ -338,9 +329,16 @@ def test_visibility_of_flat_trace():
     assert visibility(flat) == 0.0
 
 
-def test_visibility_rejects_zero_baseline():
-    from hombeat.hom_interference import HomTrace
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_rejects_non_finite_probabilities(bad):
+    # NaN fails both range comparisons, and visibility on such a trace returned 0.0
+    taus = np.linspace(-3e-12, 3e-12, 5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        HomTrace(tau=taus, p=np.array([0.5, bad, 0.2, 0.3, 0.5]), tau_c=TAU_C, l=0,
+                 omega_rot=0.0, method="closed")
 
+
+def test_visibility_rejects_zero_baseline():
     taus = np.linspace(-3e-12, 3e-12, 101)
     degenerate = HomTrace(
         tau=taus, p=np.zeros(101), tau_c=TAU_C, l=0, omega_rot=0.0, method="closed"
