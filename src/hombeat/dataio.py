@@ -4,7 +4,8 @@ Layout: comment lines ``# key=value`` first, then one column-name line,
 then numeric rows.  Values are written with 12 significant digits, using
 scientific notation outside [1e-3, 1e6), so a write/read round trip
 reproduces them to 12 significant digits.  Missing cells are empty strings
-and read back as NaN.
+and read back as NaN.  No header text holds a line break, and no column
+name a comma.
 
 Rows are encoded by numpy a block at a time into one row buffer of slot
 bytes, which one NUL-delete turns into text.  Each value's 12-digit
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import io
 import math
+from functools import cache, reduce
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
@@ -62,102 +64,107 @@ READ_CHARS = 1 << 20
 # to three multiplications by exact powers of ten keep the scaled value
 # within 2**-11 of the exact one, and taken from Python's correctly rounded
 # format near a rounding tie, a decade edge or the ends of the double range.
-# Each cell is then written into a row of slots that holds, in text order,
-# every byte a cell of its kind can contain.  The cell's layout code (and, in
-# CSV cells, the index of m's last nonzero digit, which trims trailing
-# zeros) selects a row of 0x00/0xFF bytes that is ANDed in, so each dropped
-# slot becomes NUL; no cell contains NUL, so deleting the NULs of a block of
-# rows leaves its text.
+# A cell is a row of slots in text order, written as a few pieces, each one
+# little-endian word looked up in a table and stored at the piece's slot: a
+# sign and "0.00" prefix, m's digits four at a time with the decimal point
+# among them, the exponent.  Every slot a cell does not use holds NUL, and no
+# cell contains NUL, so deleting the NULs of a block of rows leaves its text.
+# A word may run past its piece into the slots of the next one, which is
+# stored after it.  The last slot of a row, the cell's separator, is left to
+# the caller.
 
 # the four digits of 0..9999, most significant first, as one ASCII word each,
-# and their trailing zeros, built from np.indices so that importing runs few
-# numpy kernels
+# built from np.indices so that importing runs few numpy kernels
 _DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, 10_000)
 _DIGITS4_WORDS = (_DIGITS4.T + ord("0")).copy().view(np.uint32).ravel()
-_TRAILING_ZEROS4 = np.cumprod(_DIGITS4[::-1] == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
-# exact powers of ten (10**k is a double for k <= 22), three to a row whose
-# product is 10**k for each k = |11 - exponent| <= 66 (past it, the fallback)
+
+
+def _zeros4(digits: np.ndarray) -> np.ndarray:
+    """The number of leading zeros of each column of four digits."""
+    return np.cumprod(digits == 0, axis=0, dtype=np.int8).sum(axis=0, dtype=np.int8)
+
+
+# exact powers of ten (10**k is a double for k <= 22), as three factors whose
+# product is 10**k for each k <= 66 (past it, the fallback)
 _POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_SPLIT = _POW10[np.clip(np.arange(400)[:, None] - [0, 22, 44], 0, 22)]
+_POW10_SPLIT = _POW10[np.clip(np.arange(400) - np.array([[0], [22], [44]]), 0, 22)]
 # the float64 mantissa is off by at most 2**-11 from the exact scaled value,
 # so a cell this close to a rounding tie is decided by the exact fallback
 _TIE_GUARD = 2.0**-10
-_ALWAYS, _NEVER = -1, 99
 
 
-def _digits(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 12 ASCII digits of each m < 1e12 and the index of its last nonzero digit."""
-    head, low = np.divmod(m, 10_000)
-    top, mid = np.divmod(head, 10_000)
-    words = np.empty((m.size, 3), np.uint32)
-    words[:, 0] = _DIGITS4_WORDS[top]
-    words[:, 1] = _DIGITS4_WORDS[mid]
-    words[:, 2] = _DIGITS4_WORDS[low]
-    last = np.where(low != 0, 11 - _TRAILING_ZEROS4[low],
-                    np.where(mid != 0, 7 - _TRAILING_ZEROS4[mid], 3 - _TRAILING_ZEROS4[top]))
-    return words.view(np.uint8), last
+def _words(texts: list[bytes], size: int = 8) -> np.ndarray:
+    """Each text, NUL-padded to ``size`` bytes, as one little-endian word."""
+    return np.array(texts, f"S{size}").view(f"<u{size}")
 
 
-def _thresholds(slots: bytes, layouts: list[list[tuple[int, int]]]) -> np.ndarray:
-    """Per layout and slot, the least last-digit index that keeps the slot.
-
-    Slot 0 (the sign, written per cell as "-" or NUL) and the final slot (the
-    separator) are always kept.
-    """
-    threshold = np.full((len(layouts), len(slots)), _NEVER, np.int8)
-    for code, layout in enumerate(layouts):
-        for slot, keep in layout:
-            threshold[code, slot] = keep
-    threshold[:, [0, -1]] = _ALWAYS
-    return threshold
+def _put(cells: np.ndarray, slot: int, words: np.ndarray) -> None:
+    """Store one word per row of ``cells`` from byte ``slot`` on."""
+    cells[:, slot:slot + words.itemsize].view(words.dtype)[:, 0] = words
 
 
-# CSV slots: sign, "0.00" before small plain values, the digits with a point
-# after each of the first seven, the exponent, "inf", the separator
-_CSV_SLOTS = b"-0.00" + b"0." * 7 + b"00000" + b"e+000" + b"inf" + b","
-_CSV_DIGIT = [5 + 2 * k for k in range(7)] + [12 + k for k in range(7, 12)]
-_CSV_E, _CSV_SIGN, _CSV_EXP, _CSV_INF = 24, 25, 26, 29
+def _special(cells: np.ndarray, values: np.ndarray, odd: np.ndarray, texts: list[bytes]) -> None:
+    """Write the whole cells of the rows ``odd``: the texts of NaN, inf, -inf, any other."""
+    v = values[odd]
+    kind = np.select([np.isnan(v), v == np.inf, v == -np.inf], [0, 1, 2], 3)
+    table = np.array(texts, f"S{cells.shape[1] - 1}").view(np.uint8).reshape(len(texts), -1)
+    cells[odd, :-1] = table[kind]
 
 
-def _plain(e: int) -> list[tuple[int, int]]:
-    """"%.12g" fixed notation of a value with decimal exponent e."""
-    fraction = [(_CSV_DIGIT[k], k) for k in range(max(e + 1, 1), 12)]
-    if e < 0:
-        return [(1, _ALWAYS), (2, _ALWAYS), *[(3 + k, _ALWAYS) for k in range(-e - 1)],
-                (_CSV_DIGIT[0], _ALWAYS), *fraction]
-    return [*[(_CSV_DIGIT[k], _ALWAYS) for k in range(e + 1)], (_CSV_DIGIT[e] + 1, e + 1),
-            *fraction]
+# CSV slots: the sign and "0.00" (0-4), digits d0-d3 and maybe a point (5-9),
+# d4-d7 and maybe a point (10-14), d8-d11 (15-18), "e+123" (19-23), separator
+_CSV_TEMPLATE = np.zeros(25, np.uint8)  # an empty cell
+# four digits as written, and with the trailing zeros after the point dropped
+# (then the point too, if no digit follows it), for each place of the point:
+# before them (all fraction), after the first 1-4 of them, or none (all integer)
+_POINTS = (0, 1, 2, 3, 4, None)
 
 
-def _scientific(exp_digits: int) -> list[tuple[int, int]]:
-    """".11e" notation with trailing zeros (and then a bare point) trimmed."""
-    return [(_CSV_DIGIT[0], _ALWAYS), (_CSV_DIGIT[0] + 1, 1),
-            *[(_CSV_DIGIT[k], k) for k in range(1, 12)], (_CSV_E, _ALWAYS), (_CSV_SIGN, _ALWAYS),
-            *[(_CSV_EXP + k, _ALWAYS) for k in range(3 - exp_digits, 3)]]
+@cache
+def _digit_pieces() -> tuple[np.ndarray, np.ndarray]:
+    """The table of four-digit pieces, index (variant * 2 + trimmed) * 10_000 +
+    digits, and its trimmed all-fraction pieces as 4-byte words; built on first use."""
+    digits = _DIGITS4_WORDS.astype(np.uint64)
+    last = 3 - _zeros4(_DIGITS4[::-1])  # the last nonzero digit, -1 for 0000
+    keep = []  # per variant and last nonzero digit + 1, 0xFF in each slot a trimmed piece keeps
+    for p in _POINTS:
+        fraction = 4 if p is None else p  # the first digit after the point
+        order = [*range(4)]  # the digit (or, as -1, the point) in each slot
+        if p:
+            order.insert(p, -1)
+        keep.append([sum(0xFF << 8 * slot for slot, k in enumerate(order)
+                         if (last >= fraction if k < 0 else k < fraction or k <= last))
+                     for last in range(-1, 4)])
+    # in place, to touch no memory but the table: the digits before the point
+    # stay, the point goes in, the rest move up a slot
+    point = [p or 0 for p in _POINTS]
+    pieces = np.empty((len(_POINTS), 2, 10_000), np.uint64)
+    written, trimmed = pieces[:, 0], pieces[:, 1]
+    np.bitwise_and(digits, np.array([[(1 << 8 * p) - 1] for p in point], np.uint64), out=written)
+    np.subtract(digits, written, out=trimmed)
+    np.left_shift(trimmed, np.array([[8 if p else 0] for p in point], np.uint64), out=trimmed)
+    written |= trimmed
+    written |= np.array([[ord(".") << 8 * p if p else 0] for p in point], np.uint64)
+    np.take(np.array(keep, np.uint64), last + 1, axis=1, out=trimmed)
+    trimmed &= written
+    return pieces.ravel(), trimmed[0].astype(np.uint32)
 
 
-# codes 0-9: plain with exponent -3..6; then scientific, zero, inf, NaN
-_PLAIN_MIN_EXP = -3
-_SCI2, _SCI3, _ZERO_CELL, _INF_CELL, _NAN_CELL = 10, 11, 12, 13, 14
-# rows code * 12 + last, 0xFF in each slot kept
-_CSV_KEEP = np.uint8(0xFF) * (_thresholds(_CSV_SLOTS, [
-    *map(_plain, range(_PLAIN_MIN_EXP, 7)), _scientific(2), _scientific(3),
-    [(1, _ALWAYS)], [(_CSV_INF + k, _ALWAYS) for k in range(3)], [],
-])[:, None, :] <= np.arange(12)[:, None]).reshape(-1, len(_CSV_SLOTS))
-_CSV_TEMPLATE = np.frombuffer(_CSV_SLOTS, np.uint8)
-
-# "%.2f" slots: sign, ten integer digits, point, two decimals, "inanf", separator
-_FIXED2_SLOTS = b"-" + b"0" * 10 + b"." + b"00" + b"inanf" + b" "
-# codes 0-9 hold 1..10 integer digits, then NaN and inf
-_FIXED2_KEEP = np.uint8(0xFF) * (_thresholds(_FIXED2_SLOTS, [
-    *([(slot, _ALWAYS) for slot in range(11 - n, 14)] for n in range(1, 11)),
-    [(15, _ALWAYS), (16, _ALWAYS), (17, _ALWAYS)], [(14, _ALWAYS), (15, _ALWAYS), (18, _ALWAYS)],
-]) == _ALWAYS)
-_FIXED2_NAN, _FIXED2_INF = 10, 11
-_FIXED2_TEMPLATE = np.frombuffer(_FIXED2_SLOTS, np.uint8)
-# below this, 100 |x| rounds to at most 11 digits
-FIXED2_LIMIT = 1e9
-_FIXED2_STEPS = np.array([10**k for k in range(3, 12)])
+# per layout (plain with decimal exponent -3..6, then scientific): the digits
+# before the point, and the prefix of a plain value below 1
+_LAYOUT_POINT = [0, 0, 0, *range(1, 8), 1]
+_LAYOUT_PREFIX = [b"0.00", b"0.0", b"0.", *[b""] * 8]
+_SCIENTIFIC = len(_LAYOUT_POINT) - 1
+_HEAD_BASE = np.array([min(p, 5) * 20_000 for p in _LAYOUT_POINT])
+_MID_BASE = np.array([max(p - 4, 0) * 20_000 for p in _LAYOUT_POINT])
+# index layout * 2 + negative
+_SIGN_PREFIX = _words([sign + prefix.ljust(4, b"\0") for prefix in _LAYOUT_PREFIX
+                       for sign in (b"\0", b"-")])
+# "e+05" or "e-123" in slots 19-23 of a word stored at slot 16, for each
+# exponent from -324, then none
+_EXPONENT_PIECES = _words([(b"\0\0\0e%c\0%02d" if abs(e) < 100 else b"\0\0\0e%c%d")
+                           % (b"-+"[e >= 0], abs(e)) for e in range(-324, 309)] + [b""])
+_NO_EXPONENT = _EXPONENT_PIECES.size - 1
 
 
 def _exact(magnitudes: np.ndarray, spec: str) -> list[str]:
@@ -177,61 +184,96 @@ def _product_error(a: np.ndarray, b: float, product: np.ndarray) -> np.ndarray:
     return (high * b - product) + (a - high) * b
 
 
-def csv_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
-    """The CSV cells of ``values``, NUL in every slot a cell drops, into ``out`` if given.
-
-    ``chars`` holds a row of slot bytes per value, whose sign, digit and
-    exponent slots are written here.  A cell's text is format_float's,
-    except that NaN is an empty cell.
-    """
-    magnitude = np.abs(values)
-    regular = np.isfinite(magnitude) & (magnitude != 0.0)
-    x = np.where(regular, magnitude, 1.0)
+def _mantissas(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 12-digit integer m and decimal exponent e of each x > 0, x = m 10**(e - 11)."""
     exponent = np.floor(np.log10(x)).astype(np.int64)
-    # scale by 10**(11 - exponent) in up to three exact factors
-    k = np.abs(11 - exponent)
-    f1, f2, f3 = _POW10_SPLIT[k].T
+    k = 11 - exponent  # scale by 10**|k|, up or down, in at most three exact factors
+    negative = k.min() < 0
+    if negative:
+        k = np.abs(k)
+    # one factor when every |k| <= 22: the other two would be 1.0
+    factors = [row.take(k) for row in _POW10_SPLIT[:1 if k.max() <= 22 else 3]]
     with np.errstate(over="ignore"):  # in the branch np.where drops
-        scaled = np.where(exponent <= 11, x * f1 * f2 * f3, x / f1 / f2 / f3)
-    fraction = scaled - np.floor(scaled)
-    exact = regular & ((k > 66) | (scaled < 1e11) | (scaled >= 1e12)
-                       | (np.abs(fraction - 0.5) < _TIE_GUARD))
-    scaled[exact] = 1e11
-    m = np.rint(scaled).astype(np.int64)
-    carry = m == 10**12  # rounded up into the next decade
-    m[carry] = 10**11
-    exponent += carry
-    if exact.any():
-        texts = _exact(magnitude[exact], ".11e")
+        scaled = reduce(np.multiply, factors, x)
+        if negative:
+            scaled = np.where(exponent <= 11, scaled, reduce(np.divide, factors, x))
+    m = np.rint(scaled)
+    # a value that rounds up into the next decade takes the fallback too
+    exact = ((np.abs(scaled - m) > 0.5 - _TIE_GUARD) | (scaled < 1e11)
+             | (scaled >= 1e12 - 0.5))
+    if len(factors) > 1:
+        exact |= k > 66
+    exact = np.flatnonzero(exact)
+    m[exact] = 0.0
+    m = m.astype(np.int64)
+    if exact.size:
+        texts = _exact(x[exact], ".11e")
         m[exact] = [int(t[0] + t[2:13]) for t in texts]
         exponent[exact] = [int(t[14:]) for t in texts]
-    code = np.select(
-        [np.isnan(magnitude), np.isinf(magnitude), magnitude == 0.0,
-         (magnitude >= 1e-3) & (magnitude < 1e6), np.abs(exponent) < 100],
-        [_NAN_CELL, _INF_CELL, _ZERO_CELL, exponent - _PLAIN_MIN_EXP, _SCI2],
-        _SCI3,
-    )
-    digits, last = _digits(m)
-    chars[:, _CSV_DIGIT[0]:_CSV_DIGIT[7]:2] = digits[:, :7]
-    chars[:, _CSV_DIGIT[7]:_CSV_E] = digits[:, 7:]
-    # four exponent digits over the sign slot, then the sign
-    chars[:, _CSV_SIGN:_CSV_EXP + 3].view(np.uint32)[:, 0] = _DIGITS4_WORDS[np.abs(exponent)]
-    chars[:, _CSV_SIGN] = np.where(exponent < 0, ord("-"), ord("+"))
-    chars[:, 0] = np.where(values < 0.0, ord("-"), 0)
-    return np.bitwise_and(chars, _CSV_KEEP.take(code * 12 + last, axis=0), out=out)
+    return m, exponent
 
 
-def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
+def csv_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write the CSV cells of ``values`` into the rows of ``cells`` and return it.
+
+    A cell's text is format_float's, except that NaN is an empty cell.  The
+    last slot of each row, the separator, is left as it is.
+    """
+    magnitude = np.abs(values)
+    regular = (magnitude > 0.0) & (magnitude < np.inf)
+    special = not regular.all()
+    m, exponent = _mantissas(np.where(regular, magnitude, 1.0) if special else magnitude)
+    plain = (magnitude >= 1e-3) & (magnitude < 1e6)
+    layout = np.where(plain, exponent + 3, _SCIENTIFIC)
+    head = m // 100_000_000  # digits d0-d3
+    rest = m - head * 100_000_000
+    mid = rest // 10_000  # d4-d7
+    low = rest - mid * 10_000  # d8-d11
+    pieces, fractions = _digit_pieces()
+    # a piece is trimmed when every digit after it is 0
+    _put(cells, 0, _SIGN_PREFIX.take(layout * 2 + (values < 0.0)))
+    _put(cells, 5, pieces.take(_HEAD_BASE.take(layout) + (rest == 0) * 10_000 + head))
+    _put(cells, 10, pieces.take(_MID_BASE.take(layout) + (low == 0) * 10_000 + mid))
+    _put(cells, 16, _EXPONENT_PIECES.take(np.where(plain, _NO_EXPONENT, exponent + 324)))
+    _put(cells, 15, fractions.take(low))
+    if special:
+        _special(cells, values, np.flatnonzero(~regular), [b"", b"inf", b"-inf", b"0"])
+    return cells
+
+
+# "%.2f" slots: the sign (0), the integer part's digits in groups of 2, 4 and 4
+# (1-2, 3-6, 7-10), the point and two decimals (11-13), separator
+_FIXED2_TEMPLATE = np.zeros(15, np.uint8)
+# below this, 100 |x| rounds to at most 11 digits
+FIXED2_LIMIT = 1e9
+
+
+@cache
+def _integer_groups() -> np.ndarray:
+    """Four digits as written, with their leading zeros dropped, and with those
+    but the units digit dropped: index form * 10_000 + digits; built on first use."""
+    keep = np.array([0xFFFFFFFF << 8 * n & 0xFFFFFFFF for n in range(5)], np.uint32)
+    leading = _zeros4(_DIGITS4)
+    return np.tile(_DIGITS4_WORDS, 3) & keep[np.concatenate([0 * leading, leading,
+                                                             np.minimum(leading, 3)])]
+
+
+# ".25" in slots 11-13 of a word stored at slot 10
+_CENTS = _words([b"\0.%02d" % c for c in range(100)], 4)
+
+
+def fixed2_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """As csv_cells, for the ``"{:.2f}".format`` cells of ``values``.
 
     Finite values must be smaller than FIXED2_LIMIT in magnitude.
     """
     magnitude = np.abs(values)
-    finite = np.isfinite(magnitude)
-    scaled = np.where(finite, magnitude, 0.0)
+    finite = magnitude < np.inf
+    special = not finite.all()
+    scaled = np.where(finite, magnitude, 0.0) if special else magnitude
     if (scaled >= FIXED2_LIMIT).any():
         raise ValueError(f"cannot format values of {FIXED2_LIMIT:g} or more with 2 decimals")
-    scaled *= 100.0
+    scaled = scaled * 100.0
     n = np.rint(scaled)
     # the product rounds to the same side of every other half as the exact
     # 100 |x|; at a product of exactly k + 1/2 the sign of its rounding error
@@ -241,14 +283,22 @@ def fixed2_cells(values: np.ndarray, chars: np.ndarray, out=None) -> np.ndarray:
         error = _product_error(magnitude[half], 100.0, scaled[half])
         n[half] = np.where(error == 0.0, n[half], scaled[half] + np.copysign(0.5, error))
     n = n.astype(np.int64)
-    nan = np.isnan(values)
-    code = np.select([nan, ~finite], [_FIXED2_NAN, _FIXED2_INF],
-                     np.searchsorted(_FIXED2_STEPS, n, side="right"))
-    digits = _digits(n)[0]
-    chars[:, 1:11] = digits[:, :10]
-    chars[:, 12:14] = digits[:, 10:]
-    chars[:, 0] = np.where(np.signbit(values) & ~nan, ord("-"), 0)
-    return np.bitwise_and(chars, _FIXED2_KEEP.take(code, axis=0), out=out)
+    whole = n // 100
+    top = whole // 10_000  # at most 100_000
+    units = whole - top * 10_000
+    sign = np.signbit(values).astype(np.uint64) * ord("-")
+    groups = _integer_groups()
+    if top.any():
+        # two digits (leading zeros dropped), then four (theirs dropped below 10**8)
+        head = top // 10_000
+        upper = groups.take(top - head * 10_000 + (head == 0) * 10_000).astype(np.uint64) << 16
+        sign |= (upper | groups.take(head + 10_000) >> 16) << 8
+    _put(cells, 0, sign)
+    _put(cells, 10, _CENTS.take(n - whole * 100))
+    _put(cells, 7, groups.take(units + (top == 0) * 20_000))
+    if special:
+        _special(cells, values, np.flatnonzero(~finite), [b"nan", b"inf", b"-inf"])
+    return cells
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -270,6 +320,7 @@ class _Column:
 
     def __init__(self, encode, template: np.ndarray, separator: int, rows: int):
         self.encode, self.block, self.distinct, self.cells = encode, np.empty(0), None, None
+        self.separator = separator
         self.chars = np.tile(template, (rows, 1))
         self.chars[:, -1] = separator
 
@@ -284,11 +335,14 @@ class _Column:
             if 8 * _distinct(block[:block.size // 4 + 1]).size <= block.size:
                 distinct = _distinct(block)
         if 4 * distinct.size > block.size:
-            self.encode(block, self.chars[:block.size], out)
+            self.encode(block, out)
+            out[:, -1] = self.separator
             return
         if self.cells is None or not np.array_equal(distinct, self.distinct, equal_nan=True):
             self.distinct, self.cells = distinct, self.encode(distinct, self.chars[:distinct.size])
-        np.take(self.cells, np.searchsorted(distinct, block), axis=0, out=out)  # NaN sorts last
+        # whole cells as single items: one contiguous take, then one strided copy
+        cells = self.cells.view(f"V{self.cells.shape[1]}")[:, 0]
+        out.view(cells.dtype)[:, 0] = cells.take(np.searchsorted(distinct, block))  # NaN sorts last
 
 
 def pack_rows(columns, encode, separators: bytes, block_rows: int) -> Iterator[bytes]:
@@ -323,8 +377,15 @@ def write_csv(
     # None becomes NaN, which is written as an empty cell
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
     separators = b"," * (len(names) - 1) + b"\n"
-    header = [f"# {key}={format_float(v) if isinstance(v, float) else v}\n"
-              for key, v in (meta or {}).items()]
+    meta = {f"{key}": format_float(v) if isinstance(v, float) else f"{v}"
+            for key, v in (meta or {}).items()}
+    # a line break (or, in a column name, a comma) would change the document's structure
+    bad = [text for text in [*meta, *meta.values()] if "\n" in text or "\r" in text]
+    bad += [name for name in names if any(c in name for c in "\n\r,")]
+    if bad:
+        raise ValueError(f"CSV header text must not hold a line break, nor a column name "
+                         f"a comma: {bad[0]!r}")
+    header = [f"# {key}={value}\n" for key, value in meta.items()]
     with open(path, "wb") as fh:
         fh.write("".join([*header, ",".join(names), "\n"]).encode())
         fh.writelines(pack_rows(arrays, csv_cells, separators, BLOCK_ROWS))

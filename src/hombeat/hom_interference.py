@@ -45,23 +45,29 @@ class HomConfig:
     tau_grid: np.ndarray  # s, any sequence of delays is stored as a float array
 
     def __post_init__(self):
-        # the dip divides by 2 tau_c**2; one that underflows makes it 0/0 at tau = 0
-        if not (self.tau_c > 0.0 and sys.float_info.min <= 2.0 * self.tau_c * self.tau_c < math.inf):
-            raise ValueError("tau_c must be positive and finite, with 2*tau_c**2 a normal float")
         if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
             raise ValueError("l must be an integer >= 0")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
-        if not math.isfinite(2.0 * self.l * self.omega_rot):
-            raise ValueError("beat 2*l*omega_rot must be finite")
         tau_grid = np.asarray(self.tau_grid, dtype=float)
         if not np.isfinite(tau_grid).all():
             raise ValueError("tau grid must contain finite values")
-        # the dip takes cos(beat * tau), which is NaN for a phase beyond the float range
-        max_phase = 2.0 * self.l * self.omega_rot * float(np.abs(tau_grid).max(initial=0.0))
-        if not math.isfinite(max_phase):
-            raise ValueError("beat phase 2*l*omega_rot*max|tau| must be finite")
+        _check_dip(self.tau_c, 2.0 * self.l * self.omega_rot, tau_grid)
         object.__setattr__(self, "tau_grid", tau_grid)
+
+
+def _check_dip(tau_c: float, beat: float, tau: np.ndarray) -> None:
+    """Reject a dip the closed form would make NaN: 2 tau_c**2 outside the normal
+    floats, or a beat or beat phase beyond the float range."""
+    # the dip divides by 2 tau_c**2; one that underflows makes it 0/0 at tau = 0
+    # (Python floats, which overflow to inf without a numpy warning)
+    if not (tau_c > 0.0 and sys.float_info.min <= 2.0 * float(tau_c) * float(tau_c) < math.inf):
+        raise ValueError("tau_c must be positive and finite, with 2*tau_c**2 a normal float")
+    if not math.isfinite(beat):
+        raise ValueError("beat 2*l*omega_rot must be finite")
+    # the dip takes cos(beat * tau), which is NaN for a phase beyond the float range
+    if not math.isfinite(float(beat) * float(np.abs(tau).max(initial=0.0))):
+        raise ValueError("beat phase 2*l*omega_rot*max|tau| must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,12 @@ def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
     ``2 l omega_rot`` enters, so any factorization of the same beat gives the
     identical value.
     """
-    if not tau_c > 0.0:
-        raise ValueError("tau_c must be positive")
     if l < 0:
         raise ValueError("l must be >= 0")
-    p = dip_model(np.asarray(tau, dtype=float), 1.0, 2.0 * l * omega_rot, tau_c)[0]
+    tau = np.asarray(tau, dtype=float)
+    beat = 2.0 * l * float(omega_rot)
+    _check_dip(tau_c, beat, tau)
+    p = dip_model(tau, 1.0, beat, tau_c)[0]
     return float(p) if p.ndim == 0 else p
 
 

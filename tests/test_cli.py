@@ -371,6 +371,21 @@ def test_phasematch_custom_sellmeier_via_config(tmp_path):
     assert float(meta["intersection_thz"]) == pytest.approx(370.44, abs=2.0)
 
 
+def test_phasematch_rejects_a_line_break_in_the_provenance(tmp_path, capsys):
+    # the provenance goes into a "# sellmeier=" header line: a line break in it
+    # wrote a CSV that read_csv refuses ("row has 3 cells, expected 2")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sellmeier_ordinary": [2.7405, 0.0184, 0.0179, 0.0155],
+                                  "sellmeier_extraordinary": [2.3730, 0.0128, 0.0156, 0.0044],
+                                  "sellmeier_provenance": "line one\nfreq_thz,bogus"}))
+    out = tmp_path / "pm.csv"
+    assert run(["phasematch", "--cut-angle", "42", "--points", "11",
+                "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "extraordinary",
     [[2.3753, 0.01224, 1.44, 0.01516],  # pole at 1.2 um, outside the scanned band

@@ -88,6 +88,31 @@ def test_mismatched_column_lengths_rejected(tmp_path):
         write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]}, {})
 
 
+@pytest.mark.parametrize(
+    "columns,meta",
+    [({"a": [1.0]}, {"note": "line one\nfreq_thz,bogus"}),
+     ({"a": [1.0]}, {"note": "carriage\rreturn"}),
+     ({"a": [1.0]}, {"two\nlines": "v"}),
+     ({"a,b": [1.0]}, {}),
+     ({"a\nb": [1.0]}, {}),
+     ({"a\r": [1.0]}, {})],
+)
+def test_write_rejects_header_text_that_breaks_the_layout(tmp_path, columns, meta):
+    # a line break in the header (or a comma in a column name) made a document
+    # that read_csv refuses: "row has 3 cells, expected 2"
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="line break"):
+        write_csv(path, columns, meta)
+    assert not path.exists()
+
+
+def test_write_keeps_commas_and_equals_signs_in_metadata(tmp_path):
+    path = tmp_path / "ok.csv"
+    write_csv(path, {"a": [1.0]}, {"sellmeier": "Kato, 1986", "rule": "n=2"})
+    meta, _ = read_csv(path)
+    assert meta == {"sellmeier": "Kato, 1986", "rule": "n=2"}
+
+
 def test_read_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# k=v\na,b\n1.0,2.0\n3.0\n")
@@ -286,6 +311,66 @@ def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):
     monkeypatch.setattr(dataio, "_exact", None)  # no cell takes Python's format
     text = b"".join(pack_rows([values], fixed2_cells, b" ", BLOCK_ROWS)).decode()
     assert text == "".join(f"{v:.2f} " for v in values.tolist())
+
+
+def _block_text(values, encode, separator):
+    return b"".join(pack_rows([values], encode, separator, BLOCK_ROWS)).decode()
+
+
+def _scale_powers(values):
+    """|11 - e| for each finite nonzero value of decimal exponent e."""
+    magnitude = np.abs(values[np.isfinite(values) & (values != 0.0)])
+    return np.abs(11 - np.floor(np.log10(magnitude)))
+
+
+_BLOCK_RNG = np.random.default_rng(20)
+_SIGNS = _BLOCK_RNG.choice([-1.0, 1.0], BLOCK_ROWS)
+# a full block of one kind each: JSA-axis frequencies with probabilities (one
+# exact power of ten scales every value), amplitudes near 1e-32 (three
+# factors), every decade of the double range mixed, and a finite block and
+# one of NaN, +-inf and +-0 among regular values
+ENCODER_BLOCKS = {
+    "one_factor": np.where(_BLOCK_RNG.random(BLOCK_ROWS) < 0.5,
+                           _SIGNS * _BLOCK_RNG.uniform(0.5e12, 6e12, BLOCK_ROWS),
+                           _BLOCK_RNG.uniform(0.45, 0.55, BLOCK_ROWS)),
+    "three_factors": _BLOCK_RNG.uniform(0.5, 5.0, BLOCK_ROWS) * 1e-32,
+    "mixed": _SIGNS * _BLOCK_RNG.uniform(1.0, 10.0, BLOCK_ROWS)
+    * 10.0 ** _BLOCK_RNG.integers(-320, 300, BLOCK_ROWS),
+    "finite": _SIGNS * np.round(_BLOCK_RNG.uniform(0.0, 2e6, BLOCK_ROWS),
+                                int(_BLOCK_RNG.integers(0, 12))),
+    "special": np.where(_BLOCK_RNG.random(BLOCK_ROWS) < 0.25,
+                        _BLOCK_RNG.choice([math.nan, math.inf, -math.inf, 0.0, -0.0], BLOCK_ROWS),
+                        _SIGNS * _BLOCK_RNG.uniform(1e-4, 1e7, BLOCK_ROWS)),
+}
+
+
+@pytest.mark.parametrize("kind", ENCODER_BLOCKS)
+def test_full_blocks_of_each_encoder_branch_match_format_float(kind, monkeypatch):
+    values = ENCODER_BLOCKS[kind]
+    powers = _scale_powers(values)
+    assert {"one_factor": powers.max() <= 22, "three_factors": powers.min() > 22,
+            "mixed": powers.max() > 66 and powers.min() <= 22,
+            "finite": np.isfinite(values).all(),
+            "special": not np.isfinite(values).all() and (values == 0.0).any()}[kind]
+    exact, fallback = [], dataio._exact
+    monkeypatch.setattr(dataio, "_exact", lambda m, spec: exact.extend(m) or fallback(m, spec))
+    assert _block_text(values, csv_cells, b"\n").split("\n")[:-1] == [
+        _expected_cell(v) for v in values.tolist()]
+    if kind != "mixed":  # there, every value past 10**66 of 1e11 takes the fallback
+        assert len(exact) < BLOCK_ROWS / 100  # the tie guard band holds about 0.2%
+
+
+def test_full_block_of_fixed2_digit_splits_matches_format():
+    # 100 |x| near 10**8 (the integer part takes its upper groups), near the
+    # 10**11 limit (ten integer digits), and exactly halfway between cents
+    n = np.concatenate([10**8 + np.arange(-3000, 3000), 10**11 - np.arange(1, 3000),
+                        10**10 + np.arange(-1000, 1000)])
+    halves = np.array([float(f"{k}5e-3") for k in _BLOCK_RNG.integers(0, 10**9, 6000).tolist()])
+    values = np.concatenate([n / 100.0, (n - 0.5) / 100.0, halves])
+    values = (np.resize(values, BLOCK_ROWS) * _SIGNS)[_BLOCK_RNG.permutation(BLOCK_ROWS)]
+    assert np.abs(values).max() < dataio.FIXED2_LIMIT
+    assert _block_text(values, fixed2_cells, b" ") == "".join(
+        f"{v:.2f} " for v in values.tolist())
 
 
 def test_none_and_nan_give_empty_cells(tmp_path):

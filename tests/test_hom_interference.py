@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,22 @@ def test_closed_forms_validate():
         coincidence_plain(0.0, 0.0)
     with pytest.raises(ValueError):
         coincidence_rde(0.0, TAU_C, -1, 1e12)
+
+
+@pytest.mark.parametrize(
+    "tau,tau_c,l,omega_rot",
+    [(1e-300, 1e-300, 2, 1e12),  # 2 tau_c**2 underflows
+     (1e308, 1e307, 0, 0.0),  # 2 tau_c**2 overflows
+     (1e300, 1e-12, 2, 1e12)],  # the beat phase overflows
+)
+def test_closed_form_rejects_a_dip_it_would_make_nan(tau, tau_c, l, omega_rot):
+    # each returned NaN with a RuntimeWarning; HomConfig rejects the same arguments
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            coincidence_rde(tau, tau_c, l, omega_rot)
+        with pytest.raises(ValueError):
+            HomConfig(tau_c=tau_c, l=l, omega_rot=omega_rot, tau_grid=[tau])
 
 
 # ---------------------------------------------------------------------------
