@@ -8,7 +8,9 @@ and read back as NaN.  No header text holds a line break, and no column
 name a comma.
 
 Rows are encoded by numpy a block at a time into one row buffer of slot
-bytes, which one NUL-delete turns into text.  Each value's 12-digit
+bytes, which one NUL-delete turns into text.  A column block keeps the cells
+of its column's last block when it has the same bits, and one of few runs of
+equal bits encodes one cell per run.  Each value's 12-digit
 mantissa and decimal exponent come from float64 scaling by exact powers of
 ten, or from Python's correctly rounded ``format`` near a rounding tie, so
 every cell is exactly ``format_float``'s text, the one scalar definition.
@@ -113,7 +115,7 @@ def _special(cells: np.ndarray, values: np.ndarray, odd: np.ndarray, texts: list
 
 # CSV slots: the sign and "0.00" (0-4), digits d0-d3 and maybe a point (5-9),
 # d4-d7 and maybe a point (10-14), d8-d11 (15-18), "e+123" (19-23), separator
-_CSV_TEMPLATE = np.zeros(25, np.uint8)  # an empty cell
+_CSV_SLOTS = 25
 # four digits as written, and with the trailing zeros after the point dropped
 # (then the point too, if no digit follows it), for each place of the point:
 # before them (all fraction), after the first 1-4 of them, or none (all integer)
@@ -243,7 +245,7 @@ def csv_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 # "%.2f" slots: the sign (0), the integer part's digits in groups of 2, 4 and 4
 # (1-2, 3-6, 7-10), the point and two decimals (11-13), separator
-_FIXED2_TEMPLATE = np.zeros(15, np.uint8)
+_FIXED2_SLOTS = 15
 # below this, 100 |x| rounds to at most 11 digits
 FIXED2_LIMIT = 1e9
 
@@ -301,62 +303,36 @@ def fixed2_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted, NaN (which sorts last) kept once.
-
-    np.unique would import numpy.ma (about 15 ms in every fresh process).
-    """
-    ordered = np.sort(values)
-    first = np.ones(ordered.size, bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    first[np.searchsorted(ordered, np.nan) + 1:] = False
-    return ordered[first]
-
-
-class _Column:
-    """One column over the blocks of one call: a copy of its slot template,
-    separator last, for each block row, its last block, and the distinct
-    values it last encoded once each, with their cells."""
-
-    def __init__(self, encode, template: np.ndarray, separator: int, rows: int):
-        self.encode, self.block, self.distinct, self.cells = encode, np.empty(0), None, None
-        self.separator = separator
-        self.chars = np.tile(template, (rows, 1))
-        self.chars[:, -1] = separator
-
-    def pack(self, block: np.ndarray, out: np.ndarray) -> None:
-        """Write the cells of ``block`` into ``out``, which holds those of the last block."""
-        if np.array_equal(block.view(np.int64), self.block.view(np.int64)):
-            return  # the same bits as the last block
-        self.block = distinct = block
-        if self.encode is csv_cells:
-            # a first quarter (and one) holding more than n/8 distinct values
-            # sends the block to the direct path without sorting the rest
-            if 8 * _distinct(block[:block.size // 4 + 1]).size <= block.size:
-                distinct = _distinct(block)
-        if 4 * distinct.size > block.size:
-            self.encode(block, out)
-            out[:, -1] = self.separator
-            return
-        if self.cells is None or not np.array_equal(distinct, self.distinct, equal_nan=True):
-            self.distinct, self.cells = distinct, self.encode(distinct, self.chars[:distinct.size])
-        # whole cells as single items: one contiguous take, then one strided copy
-        cells = self.cells.view(f"V{self.cells.shape[1]}")[:, 0]
-        out.view(cells.dtype)[:, 0] = cells.take(np.searchsorted(distinct, block))  # NaN sorts last
-
-
 def pack_rows(columns, encode, separators: bytes, block_rows: int) -> Iterator[bytes]:
     """The text of rows of cells, each followed by its column's separator, a block at a
     time: ``encode`` (csv_cells or fixed2_cells) writes the columns' cells into one row
-    buffer, and one NUL-delete turns a block into text."""
+    buffer, and one NUL-delete turns a block into text.
+
+    A column block with the same bits as the column's last one keeps its cells.  One
+    of at most n/4 runs of equal bits (so -0.0 apart from 0.0) encodes one cell per
+    run and repeats whole cells by run length; any other is encoded directly.
+    """
     n_rows = len(columns[0]) if columns else 0
-    template = _CSV_TEMPLATE if encode is csv_cells else _FIXED2_TEMPLATE
-    rows = np.empty((min(block_rows, n_rows), len(columns), template.size), np.uint8)
-    packers = [_Column(encode, template, separator, len(rows)) for separator in separators]
+    slots = _CSV_SLOTS if encode is csv_cells else _FIXED2_SLOTS
+    rows = np.empty((min(block_rows, n_rows), len(columns), slots), np.uint8)
+    rows[:, :, -1] = np.frombuffer(separators, np.uint8)
+    last = [np.empty(0, np.int64)] * len(columns)
     for start in range(0, n_rows, block_rows):
         block = rows[:n_rows - start]
-        for j, (values, packer) in enumerate(zip(columns, packers)):
-            packer.pack(values[start:start + block_rows], block[:, j])
+        for j, values in enumerate(columns):
+            values = values[start:start + block_rows]
+            bits = values.view(np.int64)
+            if np.array_equal(bits, last[j]):
+                continue
+            last[j], out = bits, block[:, j]
+            change = bits[1:] != bits[:-1]
+            if 4 * (np.count_nonzero(change) + 1) > values.size:
+                encode(values, out)
+                continue
+            starts = np.flatnonzero(np.concatenate(([True], change)))  # the first row of each run
+            encode(values[starts], out[:starts.size])
+            cells = out.view(f"V{slots}")[:, 0]  # whole cells as single items
+            cells[:] = cells[:starts.size].repeat(np.diff(starts, append=values.size))
         yield block.tobytes().translate(None, b"\0")
 
 
@@ -420,10 +396,7 @@ def _parse_numbers(text: str, width: int) -> np.ndarray | None:
 
 
 def _parse_rows(lines: list[str], width: int) -> np.ndarray:
-    """Parse data lines into a (len(lines), width) array; empty cells become NaN."""
-    fast = _parse_numbers("\n".join(lines) + "\n", width)
-    if fast is not None:
-        return fast
+    """Parse data lines one by one into a (len(lines), width) array; empty cells are NaN."""
     numbers = []
     for line in lines:
         cells = [cell.strip() or "nan" for cell in line.split(",")]  # empty cells are NaN

@@ -45,8 +45,9 @@ class HomConfig:
     tau_grid: np.ndarray  # s, any sequence of delays is stored as a float array
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
-            raise ValueError("l must be an integer >= 0")
+        if (not isinstance(self.l, int) or isinstance(self.l, bool)
+                or not 0 <= self.l <= sys.float_info.max):
+            raise ValueError("l must be an integer >= 0 within the float range")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
         tau_grid = np.asarray(self.tau_grid, dtype=float)
@@ -138,8 +139,8 @@ def coincidence_rde(tau, tau_c: float, l: int, omega_rot: float):
     ``2 l omega_rot`` enters, so any factorization of the same beat gives the
     identical value.
     """
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    if not 0 <= l <= sys.float_info.max:
+        raise ValueError("l must be >= 0 and within the float range")
     tau = np.asarray(tau, dtype=float)
     beat = 2.0 * l * float(omega_rot)
     _check_dip(tau_c, beat, tau)
@@ -170,12 +171,15 @@ def coincidence_numeric(tau, tau_c: float, l: int, omega_rot: float):
     """
     if not tau_c > 0.0:
         raise ValueError("tau_c must be positive")
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    if not 0 <= l <= sys.float_info.max:
+        raise ValueError("l must be >= 0 and within the float range")
     taus = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(taus)):
         raise ValueError("delays must be finite")
     longest = float(np.max(np.abs(taus), initial=0.0))
+    # inf * 0 is NaN, so a non-finite beat fails at longest = 0 too
+    if not math.isfinite(2.0 * l * float(omega_rot) * longest):
+        raise ValueError("beat 2*l*omega_rot and its phase 2*l*omega_rot*max|tau| must be finite")
     half = 8.0 * (longest / tau_c + 8.0) / math.pi  # steps of h either side of the centre
     if not half <= (_NODE_BUDGET - 1) // 2:
         raise QuadratureError(f"delays up to {longest:.3g} s need more difference-frequency "

@@ -14,6 +14,7 @@ returns a new state and leaves the input untouched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -202,8 +203,8 @@ def apply_rotating_qplate(state: TwoPhotonState, l: int, omega_rot: float) -> Tw
     """
     if not isinstance(l, int) or isinstance(l, bool):
         raise ValueError("topological charge l must be an integer")
-    if l < 0:
-        raise ValueError("topological charge l must be >= 0")
+    if not 0 <= l <= sys.float_info.max:
+        raise ValueError("topological charge l must be >= 0 and within the float range")
     if not math.isfinite(omega_rot):
         raise ValueError("omega_rot must be finite")
     _require_normalized(state)

@@ -54,8 +54,9 @@ class RdeShift:
     omega_rot: float  # rad/s
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
-            raise ValueError("topological charge l must be an integer >= 0")
+        if (not isinstance(self.l, int) or isinstance(self.l, bool)
+                or not 0 <= self.l <= sys.float_info.max):
+            raise ValueError("topological charge l must be an integer >= 0 within the float range")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
 

@@ -17,6 +17,7 @@ opposite side, so every extraordinary ray sees the optic axis at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,8 +322,8 @@ def bandwidth_error(delta_f_thz: float, l: int, f_rot_thz: float) -> float:
     bandwidth ``delta_f`` blurs that separation by ``delta_f / (2 l f_rot)``.
     Scaling bandwidth and rotation rate together leaves the result unchanged.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError("topological charge l must be an integer >= 1")
+    if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= sys.float_info.max:
+        raise ValueError("topological charge l must be an integer >= 1 within the float range")
     if not f_rot_thz > 0.0:
         raise ValueError("rotation frequency must be positive")
     if delta_f_thz < 0.0:

@@ -13,8 +13,6 @@ from hombeat import dataio
 from hombeat.dataio import (
     BLOCK_ROWS,
     READ_CHARS,
-    _CSV_TEMPLATE,
-    _Column,
     csv_cells,
     fixed2_cells,
     format_float,
@@ -240,7 +238,7 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
        blocks=st.integers(2, 3), short=st.integers(0, BLOCK_ROWS - 100), seed=st.integers(0, 99))
 def test_columns_of_repeats_match_format_float_across_blocks(tmp_path, same, before, after,
                                                              blocks, short, seed):
-    """Cells encoded once per distinct value, and reused only while a column's values repeat."""
+    """Columns that repeat a set of values, change it at a block boundary, or never repeat."""
     n = blocks * BLOCK_ROWS - short
     # the same distinct values in every block
     a = np.resize(same, n)
@@ -258,45 +256,80 @@ def test_columns_of_repeats_match_format_float_across_blocks(tmp_path, same, bef
                            for row in zip(a.tolist(), b.tolist(), c.tolist())]
 
 
-def test_block_cycling_nan_and_negative_zero_is_encoded_once():
-    block = np.resize([2.5, math.nan, -0.0], BLOCK_ROWS)
-    column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
-    out = np.empty((BLOCK_ROWS, _CSV_TEMPLATE.size), np.uint8)
-    column.pack(block, out)
-    assert column.distinct.size == 3  # the NaN cells count as one value
-    assert out.tobytes().translate(None, b"\0").decode() == "".join(
-        _expected_cell(v) + "\n" for v in block.tolist())
+@pytest.fixture
+def encoded(monkeypatch):
+    """The number of cells of each encoder call, in order, while the test runs."""
+    sizes = []
+
+    def recording(encode):
+        return lambda values, cells: sizes.append(values.size) or encode(values, cells)
+
+    monkeypatch.setattr(dataio, "csv_cells", recording(csv_cells))
+    monkeypatch.setattr(dataio, "fixed2_cells", recording(fixed2_cells))
+    return sizes
 
 
-def test_symmetric_jsa_amplitude_blocks_are_encoded_directly(monkeypatch):
-    # the shifted amplitude is bit-symmetric under nu1 <-> nu2, so its blocks
-    # repeat values in their first quarter; they are still far from few-valued
+def _jsa_columns(n):
+    """The columns of a ``jsa`` export: nu1 in runs of n, nu2 with period n, the amplitude."""
     pm = PhaseMatchGaussian(gamma=0.1, a_coef=0.7 / (1e12 * math.sqrt(0.2)))
-    grid = jsa_grid(PumpSpectrum(center=1.0, sigma=1e12), pm, RdeShift(2, 1e12), 6e12, 1024)
+    grid = jsa_grid(PumpSpectrum(center=1.0, sigma=1e12), pm, RdeShift(2, 1e12), 6e12, n)
+    return grid, {"nu1": np.repeat(grid.axis1, n), "nu2": np.tile(grid.axis2, n),
+                  "amplitude": grid.values.ravel()}
+
+
+@pytest.mark.parametrize("n,cells", [
+    # 4 blocks; nu2's period divides a block, so its last three blocks are skipped
+    (256, [64, BLOCK_ROWS, BLOCK_ROWS] + [64, BLOCK_ROWS] * 3),
+    # 3 blocks, the last one short; nu1 by runs, nu2 (period 200) directly
+    (200, [82, BLOCK_ROWS, BLOCK_ROWS, 83, BLOCK_ROWS, BLOCK_ROWS, 37, 7232, 7232]),
+])
+def test_multi_block_jsa_export_matches_format_float(tmp_path, encoded, n, cells):
+    _, columns = _jsa_columns(n)
+    path = tmp_path / "jsa.csv"
+    write_csv(path, columns)
+    assert encoded == cells
+    lines = path.read_text().split("\n")
+    assert lines[0] == "nu1,nu2,amplitude" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(map(format_float, row))
+                           for row in zip(*(c.tolist() for c in columns.values()))]
+
+
+def test_adjacent_runs_of_zero_negative_zero_and_nan_keep_their_cells(encoded):
+    # 0.0 and -0.0 are == but write "0" and "-0" ("0.00" and "-0.00"); the
+    # NaN run from 16,000 to 17,000 crosses the first block boundary
+    runs = [0.0, -0.0, math.nan, 0.0, math.nan, -0.0, 2.5, -0.0, 0.0]
+    lengths = [5000, 1, 9999, 1000, 1000, 1, 1000, BLOCK_ROWS, 3]
+    values = np.repeat(runs, lengths)
+    assert _block_text(values, dataio.csv_cells, b"\n") == "".join(
+        _expected_cell(v) + "\n" for v in values.tolist())
+    assert _block_text(values, dataio.fixed2_cells, b" ") == "".join(
+        f"{v:.2f} " for v in values.tolist())
+    assert encoded == [5, 4, 2] * 2  # one cell per run of each block
+
+
+def test_jsa_axis_block_encodes_one_cell_per_run_and_amplitude_every_cell(encoded):
+    # the shifted amplitude is bit-symmetric under nu1 <-> nu2, so its blocks
+    # repeat values; they are still far from n/4 runs
+    grid, columns = _jsa_columns(1024)
     assert np.array_equal(grid.values, grid.values.T)
-    sizes, distinct = [], dataio._distinct
-
-    def recording(values):
-        sizes.append(values.size)
-        return distinct(values)
-
-    monkeypatch.setattr(dataio, "_distinct", recording)
-    out = np.empty((BLOCK_ROWS, _CSV_TEMPLATE.size), np.uint8)
-    amplitude = grid.values.ravel()
+    amplitude = columns["amplitude"]
     for start in range(0, amplitude.size, BLOCK_ROWS):
-        column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
-        column.pack(amplitude[start:start + BLOCK_ROWS], out)
-        assert column.distinct is None  # no block was encoded once per value
-    assert sizes == [BLOCK_ROWS // 4 + 1] * (amplitude.size // BLOCK_ROWS)
-    block = amplitude[-BLOCK_ROWS:]
-    assert out.tobytes().translate(None, b"\0").decode() == "".join(
+        block = amplitude[start:start + BLOCK_ROWS]
+        text = _block_text(block, dataio.csv_cells, b"\n")
+    assert encoded == [BLOCK_ROWS] * (amplitude.size // BLOCK_ROWS)
+    assert text == "".join(_expected_cell(v) + "\n" for v in block.tolist())
+    # the nu1 column holds 16 runs of 1,024 values a block
+    encoded.clear()
+    block = columns["nu1"][:BLOCK_ROWS]
+    assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
+        format_float(v) + "\n" for v in block.tolist())
+    assert encoded == [16]
+    # a block cycling through 2.5, NaN and -0.0 has a run per row: encoded directly
+    encoded.clear()
+    block = np.resize([2.5, math.nan, -0.0], BLOCK_ROWS)
+    assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
         _expected_cell(v) + "\n" for v in block.tolist())
-    # the nu1 column holds 16 values a block: it still takes encode-once
-    sizes.clear()
-    column = _Column(csv_cells, _CSV_TEMPLATE, ord("\n"), BLOCK_ROWS)
-    column.pack(np.repeat(grid.axis1, 1024)[:BLOCK_ROWS], out)
-    assert sizes == [BLOCK_ROWS // 4 + 1, BLOCK_ROWS]
-    assert np.array_equal(column.distinct, grid.axis1[:16])
+    assert encoded == [BLOCK_ROWS]
 
 
 def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):

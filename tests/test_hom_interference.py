@@ -22,6 +22,9 @@ from hombeat.hom_interference import (
     trace,
     visibility,
 )
+from hombeat.hybrid_state import run_pipeline
+from hombeat.joint_spectrum import PhaseMatchGaussian, PumpSpectrum, RdeShift, jsa_grid
+from hombeat.phase_match import bandwidth_error
 
 TAU_C = 1e-12
 
@@ -112,6 +115,39 @@ def test_closed_form_rejects_a_dip_it_would_make_nan(tau, tau_c, l, omega_rot):
             coincidence_rde(tau, tau_c, l, omega_rot)
         with pytest.raises(ValueError):
             HomConfig(tau_c=tau_c, l=l, omega_rot=omega_rot, tau_grid=[tau])
+
+
+_HUGE_L = 10**400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coincidence_rde(0.0, TAU_C, _HUGE_L, 1.0),
+    lambda: HomConfig(TAU_C, _HUGE_L, 1.0, [0.0]),
+    lambda: coincidence_numeric(0.0, TAU_C, _HUGE_L, 1.0),
+    lambda: jsa_grid(PumpSpectrum(center=1.0, sigma=1e12), PhaseMatchGaussian(0.1, 1e-12),
+                     RdeShift(_HUGE_L, 1.0), 6e12, 16),
+    lambda: run_pipeline(_HUGE_L, 1.0, 1e15),
+    lambda: bandwidth_error(1.0, _HUGE_L, 1.0),
+], ids=["coincidence_rde", "HomConfig", "coincidence_numeric", "RdeShift", "run_pipeline",
+        "bandwidth_error"])
+def test_integer_l_beyond_the_float_range_is_a_value_error(call):
+    # each raised OverflowError from int-to-float conversion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="float range"):
+            call()
+
+
+@pytest.mark.parametrize("tau,tau_c,l,omega_rot", [
+    (0.0, TAU_C, 1, math.inf), (0.0, TAU_C, 1, math.nan), (1e-12, TAU_C, 2, -math.inf),
+    (1e12, 1e10, 1, 1e300),  # a finite beat whose phase overflows
+])
+def test_numeric_rejects_a_non_finite_beat_or_beat_phase(tau, tau_c, l, omega_rot):
+    # an infinite beat warned three times and then raised QuadratureError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            coincidence_numeric(tau, tau_c, l, omega_rot)
 
 
 # ---------------------------------------------------------------------------
