@@ -307,7 +307,22 @@ def test_adjacent_runs_of_zero_negative_zero_and_nan_keep_their_cells(encoded):
     assert encoded == [5, 4, 2] * 2  # one cell per run of each block
 
 
-def test_jsa_axis_block_encodes_one_cell_per_run_and_amplitude_every_cell(encoded):
+def test_block_cycling_nan_and_negative_zero_is_encoded_once(encoded):
+    # a NaN run is one run of equal bits, so its cell is encoded once, as are
+    # those of the 2.5 and -0.0 runs
+    block = np.resize(np.repeat([2.5, math.nan, -0.0], 64), BLOCK_ROWS)
+    assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
+        _expected_cell(v) + "\n" for v in block.tolist())
+    assert encoded == [BLOCK_ROWS // 64]
+    # cycling a value a row gives a run per row: the block is encoded directly
+    encoded.clear()
+    block = np.resize([2.5, math.nan, -0.0], BLOCK_ROWS)
+    assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
+        _expected_cell(v) + "\n" for v in block.tolist())
+    assert encoded == [BLOCK_ROWS]
+
+
+def test_symmetric_jsa_amplitude_blocks_are_encoded_directly(encoded):
     # the shifted amplitude is bit-symmetric under nu1 <-> nu2, so its blocks
     # repeat values; they are still far from n/4 runs
     grid, columns = _jsa_columns(1024)
@@ -318,18 +333,12 @@ def test_jsa_axis_block_encodes_one_cell_per_run_and_amplitude_every_cell(encode
         text = _block_text(block, dataio.csv_cells, b"\n")
     assert encoded == [BLOCK_ROWS] * (amplitude.size // BLOCK_ROWS)
     assert text == "".join(_expected_cell(v) + "\n" for v in block.tolist())
-    # the nu1 column holds 16 runs of 1,024 values a block
+    # the nu1 column holds 16 runs of 1,024 values a block: one cell per run
     encoded.clear()
     block = columns["nu1"][:BLOCK_ROWS]
     assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
         format_float(v) + "\n" for v in block.tolist())
     assert encoded == [16]
-    # a block cycling through 2.5, NaN and -0.0 has a run per row: encoded directly
-    encoded.clear()
-    block = np.resize([2.5, math.nan, -0.0], BLOCK_ROWS)
-    assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
-        _expected_cell(v) + "\n" for v in block.tolist())
-    assert encoded == [BLOCK_ROWS]
 
 
 def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):
