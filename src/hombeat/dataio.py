@@ -105,14 +105,6 @@ def _put(cells: np.ndarray, slot: int, words: np.ndarray) -> None:
     cells[:, slot:slot + words.itemsize].view(words.dtype)[:, 0] = words
 
 
-def _special(cells: np.ndarray, values: np.ndarray, odd: np.ndarray, texts: list[bytes]) -> None:
-    """Write the whole cells of the rows ``odd``: the texts of NaN, inf, -inf, any other."""
-    v = values[odd]
-    kind = np.select([np.isnan(v), v == np.inf, v == -np.inf], [0, 1, 2], 3)
-    table = np.array(texts, f"S{cells.shape[1] - 1}").view(np.uint8).reshape(len(texts), -1)
-    cells[odd, :-1] = table[kind]
-
-
 # CSV slots: the sign and "0.00" (0-4), digits d0-d3 and maybe a point (5-9),
 # d4-d7 and maybe a point (10-14), d8-d11 (15-18), "e+123" (19-23), separator
 _CSV_SLOTS = 25
@@ -238,68 +230,53 @@ def csv_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
     _put(cells, 10, pieces.take(_MID_BASE.take(layout) + (low == 0) * 10_000 + mid))
     _put(cells, 16, _EXPONENT_PIECES.take(np.where(plain, _NO_EXPONENT, exponent + 324)))
     _put(cells, 15, fractions.take(low))
-    if special:
-        _special(cells, values, np.flatnonzero(~regular), [b"", b"inf", b"-inf", b"0"])
+    if special:  # whole cells: NaN is empty, then inf, -inf and zero
+        odd = np.flatnonzero(~regular)
+        v = values[odd]
+        kind = np.select([np.isnan(v), v == np.inf, v == -np.inf], [0, 1, 2], 3)
+        texts = np.array([b"", b"inf", b"-inf", b"0"], f"S{cells.shape[1] - 1}")
+        cells[odd, :-1] = texts.view(np.uint8).reshape(4, -1)[kind]
     return cells
 
 
-# "%.2f" slots: the sign (0), the integer part's digits in groups of 2, 4 and 4
-# (1-2, 3-6, 7-10), the point and two decimals (11-13), separator
-_FIXED2_SLOTS = 15
-# below this, 100 |x| rounds to at most 11 digits
-FIXED2_LIMIT = 1e9
+# "%.2f" canvas slots: the integer part, at most four digits (0-3), the point and
+# two decimals (4-6), separator
+_FIXED2_SLOTS = 8
 
 
 @cache
-def _integer_groups() -> np.ndarray:
-    """Four digits as written, with their leading zeros dropped, and with those
-    but the units digit dropped: index form * 10_000 + digits; built on first use."""
-    keep = np.array([0xFFFFFFFF << 8 * n & 0xFFFFFFFF for n in range(5)], np.uint32)
-    leading = _zeros4(_DIGITS4)
-    return np.tile(_DIGITS4_WORDS, 3) & keep[np.concatenate([0 * leading, leading,
-                                                             np.minimum(leading, 3)])]
+def _integer_words() -> np.ndarray:
+    """The text of each integer 0..9999 as one 4-byte word: its four digits with
+    the leading zeros but the units digit dropped; built on first use."""
+    keep = np.array([0xFFFFFFFF << 8 * n & 0xFFFFFFFF for n in range(4)], np.uint32)
+    return _DIGITS4_WORDS & keep[np.minimum(_zeros4(_DIGITS4), 3)]
 
 
-# ".25" in slots 11-13 of a word stored at slot 10
+# ".25" in slots 4-6 of a word stored at slot 3
 _CENTS = _words([b"\0.%02d" % c for c in range(100)], 4)
 
 
 def fixed2_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """As csv_cells, for the ``"{:.2f}".format`` cells of ``values``.
+    """As csv_cells, for the ``"{:.2f}".format`` cells of canvas coordinates.
 
-    Finite values must be smaller than FIXED2_LIMIT in magnitude.
+    Every value must lie in [0, 9999.995): no sign bit (so no -0.0), no NaN,
+    and at most four integer digits once rounded to cents.
     """
-    magnitude = np.abs(values)
-    finite = magnitude < np.inf
-    special = not finite.all()
-    scaled = np.where(finite, magnitude, 0.0) if special else magnitude
-    if (scaled >= FIXED2_LIMIT).any():
-        raise ValueError(f"cannot format values of {FIXED2_LIMIT:g} or more with 2 decimals")
-    scaled = scaled * 100.0
+    if np.signbit(values).any() or not (values < 9999.995).all():
+        raise ValueError("canvas coordinates must lie in [0, 9999.995)")
+    scaled = values * 100.0
     n = np.rint(scaled)
     # the product rounds to the same side of every other half as the exact
-    # 100 |x|; at a product of exactly k + 1/2 the sign of its rounding error
+    # 100 x; at a product of exactly k + 1/2 the sign of its rounding error
     # decides (a zero error is an exact tie, which rint sends to even)
     half = np.flatnonzero(scaled - np.floor(scaled) == 0.5)
     if half.size:
-        error = _product_error(magnitude[half], 100.0, scaled[half])
+        error = _product_error(values[half], 100.0, scaled[half])
         n[half] = np.where(error == 0.0, n[half], scaled[half] + np.copysign(0.5, error))
     n = n.astype(np.int64)
     whole = n // 100
-    top = whole // 10_000  # at most 100_000
-    units = whole - top * 10_000
-    sign = np.signbit(values).astype(np.uint64) * ord("-")
-    groups = _integer_groups()
-    if top.any():
-        # two digits (leading zeros dropped), then four (theirs dropped below 10**8)
-        head = top // 10_000
-        upper = groups.take(top - head * 10_000 + (head == 0) * 10_000).astype(np.uint64) << 16
-        sign |= (upper | groups.take(head + 10_000) >> 16) << 8
-    _put(cells, 0, sign)
-    _put(cells, 10, _CENTS.take(n - whole * 100))
-    _put(cells, 7, groups.take(units + (top == 0) * 20_000))
-    if special:
-        _special(cells, values, np.flatnonzero(~finite), [b"nan", b"inf", b"-inf"])
+    _put(cells, 3, _CENTS.take(n - whole * 100))
+    _put(cells, 0, _integer_words().take(whole))  # its units digit fills slot 3
     return cells
 
 

@@ -57,12 +57,16 @@ class HomConfig:
         object.__setattr__(self, "tau_grid", tau_grid)
 
 
+def _normal_width(t: float) -> bool:
+    """Whether 2 t**2, as the dip's divisor 2 tau_c**2, is a normal float (in Python
+    floats, which overflow without a numpy warning); one that underflows makes 0/0."""
+    return sys.float_info.min <= 2.0 * float(t) * float(t) < math.inf
+
+
 def _check_dip(tau_c: float, beat: float, tau: np.ndarray) -> None:
     """Reject a dip the closed form would make NaN: 2 tau_c**2 outside the normal
     floats, or a beat or beat phase beyond the float range."""
-    # the dip divides by 2 tau_c**2; one that underflows makes it 0/0 at tau = 0
-    # (Python floats, which overflow to inf without a numpy warning)
-    if not (tau_c > 0.0 and sys.float_info.min <= 2.0 * float(tau_c) * float(tau_c) < math.inf):
+    if not (tau_c > 0.0 and _normal_width(tau_c)):
         raise ValueError("tau_c must be positive and finite, with 2*tau_c**2 a normal float")
     if not math.isfinite(beat):
         raise ValueError("beat 2*l*omega_rot must be finite")
@@ -235,9 +239,10 @@ def trace(cfg: HomConfig, method: str = "closed") -> HomTrace:
 
 def fwhm_bandwidth(tau_c: float) -> float:
     """Spectral density FWHM for a Gaussian envelope time: ``2 sqrt(2 ln 2) / tau_c``."""
-    if not tau_c > 0.0:
-        raise ValueError("tau_c must be positive")
-    return FWHM_FACTOR / tau_c
+    bandwidth = FWHM_FACTOR / float(tau_c) if tau_c > 0.0 else math.nan
+    if not 0.0 < bandwidth < math.inf:  # an infinite tau_c, or one whose bandwidth overflows
+        raise ValueError("tau_c must be positive, with a finite nonzero bandwidth")
+    return bandwidth
 
 
 def observability(l: int, omega_rot: float, tau_c: float) -> tuple[bool, float]:
@@ -246,6 +251,8 @@ def observability(l: int, omega_rot: float, tau_c: float) -> tuple[bool, float]:
     Oscillations show up when the beat ``2 l omega_rot`` exceeds the FWHM
     bandwidth of the spectral density.
     """
+    if not math.isfinite(omega_rot):
+        raise ValueError("omega_rot must be finite")
     bandwidth = fwhm_bandwidth(tau_c)
     return (2.0 * l * omega_rot > bandwidth, bandwidth)
 
@@ -260,9 +267,10 @@ def visibility(trace_: HomTrace) -> float:
     p = trace_.p
     if tau.size < 3:
         raise ValueError("trace too short to analyze")
-    span = float(tau.max() - tau.min())
-    if span <= 0.0:
-        raise ValueError("trace delays must span a nonzero range")
+    # Python floats, which overflow to inf without a numpy warning
+    span = float(tau.max()) - float(tau.min())
+    if not 0.0 < span < math.inf:
+        raise ValueError("trace delays must span a nonzero, finite range")
     edge = 0.05 * span
     outer = (tau <= tau.min() + edge) | (tau >= tau.max() - edge)
     baseline = float(p[outer].max())

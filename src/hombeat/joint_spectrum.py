@@ -103,7 +103,8 @@ def jsa_value(nu1, nu2, pump: PumpSpectrum, pm: PhaseMatchGaussian):
     """
     nu1 = np.asarray(nu1, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
-    out = _profile(nu1, nu2, pm, 0.0) * _envelope(nu1, nu2, pump)
+    with np.errstate(over="ignore"):  # a square beyond the float range is an amplitude of 0
+        out = _profile(nu1, nu2, pm, 0.0) * _envelope(nu1, nu2, pump)
     return float(out) if out.ndim == 0 else out
 
 

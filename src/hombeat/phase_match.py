@@ -324,8 +324,9 @@ def bandwidth_error(delta_f_thz: float, l: int, f_rot_thz: float) -> float:
     """
     if not isinstance(l, int) or isinstance(l, bool) or not 1 <= l <= sys.float_info.max:
         raise ValueError("topological charge l must be an integer >= 1 within the float range")
-    if not f_rot_thz > 0.0:
-        raise ValueError("rotation frequency must be positive")
-    if delta_f_thz < 0.0:
-        raise ValueError("bandwidth must be non-negative")
-    return delta_f_thz / (2.0 * l * f_rot_thz)
+    if not 0.0 < f_rot_thz < math.inf:
+        raise ValueError("rotation frequency must be positive and finite")
+    error = float(delta_f_thz) / (2.0 * l * float(f_rot_thz))  # Python floats: no numpy warning
+    if not 0.0 <= error < math.inf:  # NaN, a negative or infinite bandwidth, or an overflow
+        raise ValueError("bandwidth must be non-negative, with a finite relative error")
+    return error

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hom_interference import HomConfig, coincidence_rde, dip_model
+from .hom_interference import HomConfig, _normal_width, coincidence_rde, dip_model
 
 MIN_FIT_SAMPLES = 32
 
@@ -71,6 +71,9 @@ class NoisyTrace:
             raise ValueError("delays and probabilities must be finite")
         if tau.size >= 2 and np.any(np.diff(tau) <= 0.0):
             raise ValueError("delays must be strictly increasing")
+        # a fit's tau_c takes the scale of the delays, and the dip divides by 2 tau_c**2
+        if tau.size and not _normal_width(np.abs(tau).max()):
+            raise ValueError("delays must have 2*max|tau|**2 a normal float")
         if not self.noise_sigma >= 0.0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -194,13 +197,6 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
     return float(v), abs(float(b)) / t0, abs(float(u)) * t0, rms, converged, iterations
 
 
-def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
-    if width <= 1 or y.size < width:
-        return y
-    kernel = np.ones(width) / width
-    return np.convolve(y, kernel, mode="same")
-
-
 def fit_envelope(trace: NoisyTrace) -> EnvelopeFit:
     """Fit the Gaussian dip envelope, ignoring any beat oscillation.
 
@@ -214,31 +210,22 @@ def fit_envelope(trace: NoisyTrace) -> EnvelopeFit:
     if tau.size < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit")
     depth = np.abs(p - 0.5)
-    smooth = _moving_average(depth, 5)
+    smooth = np.convolve(depth, np.ones(5) / 5, mode="same")  # a 5-point moving average
+    max_depth = float(smooth.max())
     interior = np.arange(1, tau.size - 1)
     is_peak = (smooth[interior] > smooth[interior - 1]) & (smooth[interior] >= smooth[interior + 1])
-    peak_idx = interior[is_peak & (smooth[interior] >= 0.05 * smooth.max())]
-
-    max_depth = float(smooth.max())
-    if max_depth < 1e-9:
-        # flat trace: nothing to fit against
-        span = float(tau.max() - tau.min())
-        return EnvelopeFit(tau_c_hat=span / 4.0, visibility_hat=0.0, converged=False)
-
+    peak_idx = interior[is_peak & (smooth[interior] >= 0.05 * max_depth)]
     oscillatory = len(peak_idx) >= _MIN_OSCILLATION_PEAKS and max_depth >= _MIN_DIP_DEPTH
-    if oscillatory:
-        t_fit = tau[peak_idx]
-        d_fit = depth[peak_idx]
-    else:
-        t_fit = tau
-        d_fit = depth
-
+    t_fit, d_fit = (tau[peak_idx], depth[peak_idx]) if oscillatory else (tau, depth)
     weights = d_fit.sum()
-    if weights <= 0.0:
-        return EnvelopeFit(tau_c_hat=float(tau.max() - tau.min()) / 4.0, visibility_hat=0.0, converged=False)
-    tau_c0 = math.sqrt(float((d_fit * t_fit**2).sum() / weights))
+    span = float(tau.max() - tau.min())
+    if max_depth < 1e-9 or weights <= 0.0:  # a flat trace: nothing to fit against
+        return EnvelopeFit(tau_c_hat=span / 4.0, visibility_hat=0.0, converged=False)
+    # the weighted rms delay, of delays scaled exactly by a power of two below 1 lest it overflow
+    e = math.frexp(float(np.abs(t_fit).max()))[1]
+    tau_c0 = math.ldexp(math.sqrt(float((d_fit * np.ldexp(t_fit, -e) ** 2).sum() / weights)), e)
     if tau_c0 <= 0.0:
-        tau_c0 = float(tau.max() - tau.min()) / 4.0
+        tau_c0 = span / 4.0
     v0 = min(1.2, 2.0 * float(d_fit.max()))
 
     # fitting the model to 1/2 - depth leaves the same sum of squares as
@@ -349,8 +336,8 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     """
     if tau_c_hat is None:
         tau_c_hat = fit_envelope(trace).tau_c_hat
-    # an envelope so wide that its square overflows leaves no beat to resolve
-    if not (tau_c_hat > 0.0 and math.isfinite(tau_c_hat * tau_c_hat)):
+    # an envelope whose 2 tau_c**2 is not a normal float leaves no beat to resolve
+    if not (tau_c_hat > 0.0 and _normal_width(tau_c_hat)):
         return 0.0
     keep = np.abs(trace.tau) <= 2.5 * tau_c_hat
     if keep.sum() < 16:

@@ -1,8 +1,9 @@
 """Minimal self-contained SVG 1.1 rendering: line plots and heatmaps.
 
 These are visual aids for the exported CSV data, not a plotting framework:
-fixed margins, five ticks per axis, a short list of series colors and a
-simple heat colormap.
+fixed canvases and margins, five ticks per axis, a short list of series
+colors and a simple heat colormap.  Each axis spans a finite range, so every
+point is a canvas pixel, written as "%.2f" text.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def _short(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi) or lo == hi:
+    if lo == hi:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * (i / (n - 1)) for i in range(n)]  # (hi - lo) * i may overflow
 
 
 def _svg_header(width: int, height: int) -> list[str]:
@@ -102,11 +103,11 @@ def line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 440,
 ) -> None:
-    """Render one or more (label, x, y) series as polylines."""
-    x0, y0, x1, y1 = 70, 30, width - 20, height - 60
+    """Render (label, x, y) series as polylines on a 640 x 440 canvas, the axes spanning
+    the finite points (a constant axis 1, y 5% more at each end); a span that is not
+    finite or a constant past 2**53 raises ValueError before the file is opened."""
+    x0, y0, x1, y1 = 70, 30, 620, 380
     xs = np.concatenate([np.asarray(x, float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, float) for _, _, y in series])
     finite = np.isfinite(xs) & np.isfinite(ys)
@@ -121,8 +122,10 @@ def line_plot(
     pad = 0.05 * (yhi - ylo)
     ylo -= pad
     yhi += pad
+    if not (0.0 < xhi - xlo < math.inf and 0.0 < yhi - ylo < math.inf):
+        raise ValueError("each axis must span a finite, nonzero range (a constant below 2**53)")
 
-    parts = _svg_header(width, height)
+    parts = _svg_header(640, 440)
     _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
     with open(path, "wb") as fh:
         _write_parts(fh, parts)
@@ -183,26 +186,27 @@ def heatmap(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 560,
-    height: int = 540,
 ) -> None:
-    """Render values[i, j] at (x_axis[i], y_axis[j]) as colored cells.
+    """Render values[i, j] at (x_axis[i], y_axis[j]) as colored cells on a 560 x 540 canvas.
 
-    The colour scale is the largest finite value (1.0 if there is none or it
-    is 0); NaN cells, and cells whose scaled value is at most 0, are black.
-    The plot area is painted
-    black once, then each run of equal non-black colour down a column is one
-    rect, its lines built a block of whole columns at a time from byte tables
-    of the column x, row y and run height texts, and one NUL-delete.
+    An axis whose span is not finite raises ValueError before the file is
+    opened.  The colour scale is the largest finite value (1.0 if there is
+    none or it is 0); NaN cells, and cells whose scaled value is at most 0,
+    are black.  The plot area is painted black once, then each run of equal
+    non-black colour down a column is one rect, its lines built a block of
+    whole columns at a time from byte tables of the column x, row y and run
+    height texts, and one NUL-delete.
     """
     x_axis = np.asarray(x_axis, float)
     y_axis = np.asarray(y_axis, float)
     values = np.asarray(values, float)
     if values.shape != (x_axis.size, y_axis.size):
         raise ValueError("values shape must match the axes")
-    x0, y0, x1, y1 = 70, 30, width - 30, height - 60
+    x0, y0, x1, y1 = 70, 30, 530, 480
     xlo, xhi = float(x_axis.min()), float(x_axis.max())
     ylo, yhi = float(y_axis.min()), float(y_axis.max())
+    if not (math.isfinite(xhi - xlo) and math.isfinite(yhi - ylo)):
+        raise ValueError("each axis must span a finite range")
     top = float(np.max(values, initial=-math.inf, where=np.isfinite(values)))
     top = top if math.isfinite(top) and top != 0.0 else 1.0
 
@@ -220,7 +224,7 @@ def heatmap(
                   f'height="{y1 - y0 + 0.5:.2f}" fill="#000000"/>')
     step = max(1, BLOCK_POINTS // ny)
     with open(path, "wb") as fh:
-        _write_parts(fh, [*_svg_header(width, height), background])
+        _write_parts(fh, [*_svg_header(560, 540), background])
         for i in range(0, nx, step):
             with np.errstate(over="ignore"):  # a cell past the scale is white
                 codes = _heat_colors(values[i:i + step] / top).ravel()

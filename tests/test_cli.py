@@ -521,6 +521,16 @@ def test_estimate_malformed_file_exits_2(tmp_path, capsys):
     assert run(["estimate", "--input", str(bad)]) == 2
 
 
+def test_estimate_of_delays_whose_square_overflows_exits_2(tmp_path, capsys):
+    # these delays printed four RuntimeWarning lines and exited 4
+    trace_csv = tmp_path / "huge.csv"
+    taus = np.linspace(-3e-12, 3e-12, 601)
+    write_csv(trace_csv, {"tau_s": taus * 1e200, "p": coincidence_rde(taus, 1e-12, 1, 2e12)})
+    assert run(["estimate", "--input", str(trace_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _constant_trace(tmp_path, value):
     path = tmp_path / "constant.csv"
     write_csv(path, {"tau_s": np.linspace(-3e-12, 3e-12, 200), "p": np.full(200, value)}, {})

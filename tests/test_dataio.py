@@ -295,16 +295,21 @@ def test_multi_block_jsa_export_matches_format_float(tmp_path, encoded, n, cells
 
 
 def test_adjacent_runs_of_zero_negative_zero_and_nan_keep_their_cells(encoded):
-    # 0.0 and -0.0 are == but write "0" and "-0" ("0.00" and "-0.00"); the
-    # NaN run from 16,000 to 17,000 crosses the first block boundary
+    # 0.0 and -0.0 are == but write "0" and "-0"; the NaN run from 16,000 to
+    # 17,000 crosses the first block boundary
     runs = [0.0, -0.0, math.nan, 0.0, math.nan, -0.0, 2.5, -0.0, 0.0]
     lengths = [5000, 1, 9999, 1000, 1000, 1, 1000, BLOCK_ROWS, 3]
     values = np.repeat(runs, lengths)
     assert _block_text(values, dataio.csv_cells, b"\n") == "".join(
         _expected_cell(v) + "\n" for v in values.tolist())
-    assert _block_text(values, dataio.fixed2_cells, b" ") == "".join(
-        f"{v:.2f} " for v in values.tolist())
+    # canvas cells take neither -0.0 nor NaN: 0.001 and 0.004 stand in, both
+    # written "0.00" like 0.0 but with bits of their own
+    canvas = np.repeat([0.0, 0.001, 0.004, 0.0, 0.004, 0.001, 2.5, 0.001, 0.0], lengths)
+    assert _block_text(canvas, dataio.fixed2_cells, b" ") == "".join(
+        f"{v:.2f} " for v in canvas.tolist())
     assert encoded == [5, 4, 2] * 2  # one cell per run of each block
+    with pytest.raises(ValueError, match="canvas"):
+        _block_text(values, dataio.fixed2_cells, b" ")
 
 
 def test_block_cycling_nan_and_negative_zero_is_encoded_once(encoded):
@@ -342,17 +347,21 @@ def test_symmetric_jsa_amplitude_blocks_are_encoded_directly(encoded):
 
 
 def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):
-    # x.xx5 decimals whose float64 product 100 |x| is exactly k + 1/2
-    values = np.array([float(f"{k}5e-3") for k in range(-20_000, 20_000)])
-    scaled = np.abs(values) * 100.0
+    # x.xx5 decimals whose float64 product 100 x is exactly k + 1/2, at the
+    # bottom and the top of the canvas range
+    values = np.array([float(f"{k}5e-3") for k in [*range(20_000), *range(980_000, 999_999)]])
+    scaled = values * 100.0
     half = scaled - np.floor(scaled) == 0.5
     values, scaled = values[half], scaled[half]
-    errors = {(Fraction(abs(v)) * 100 > Fraction(p)) - (Fraction(abs(v)) * 100 < Fraction(p))
-              for v, p in zip(values.tolist(), scaled.tolist())}
-    assert errors == {-1, 0, 1}  # rounded up, exact ties and rounded down
+    errors = [(Fraction(v) * 100 > Fraction(p)) - (Fraction(v) * 100 < Fraction(p))
+              for v, p in zip(values.tolist(), scaled.tolist())]
+    # rounded up, exact ties and rounded down, below 200 and above 9800
+    assert set(errors[:values.size // 2]) == set(errors[values.size // 2:]) == {-1, 0, 1}
     monkeypatch.setattr(dataio, "_exact", None)  # no cell takes Python's format
     text = b"".join(pack_rows([values], fixed2_cells, b" ", BLOCK_ROWS)).decode()
     assert text == "".join(f"{v:.2f} " for v in values.tolist())
+    with pytest.raises(ValueError, match="canvas"):  # negative ties are off the canvas
+        next(pack_rows([-values], fixed2_cells, b" ", BLOCK_ROWS))
 
 
 def _block_text(values, encode, separator):
@@ -403,16 +412,21 @@ def test_full_blocks_of_each_encoder_branch_match_format_float(kind, monkeypatch
 
 
 def test_full_block_of_fixed2_digit_splits_matches_format():
-    # 100 |x| near 10**8 (the integer part takes its upper groups), near the
-    # 10**11 limit (ten integer digits), and exactly halfway between cents
-    n = np.concatenate([10**8 + np.arange(-3000, 3000), 10**11 - np.arange(1, 3000),
-                        10**10 + np.arange(-1000, 1000)])
-    halves = np.array([float(f"{k}5e-3") for k in _BLOCK_RNG.integers(0, 10**9, 6000).tolist()])
+    # 100 x near 10**3, 10**4 and 10**5 (the integer part gains a digit past
+    # 9.99, 99.99 and 999.99), below 10**6 (four integer digits, up to
+    # 9999.99), and exactly halfway between cents
+    n = np.concatenate([10**k + np.arange(-999, 1000) for k in (3, 4, 5)]
+                       + [10**6 - np.arange(1, 3000)])
+    halves = np.array([float(f"{k}5e-3") for k in _BLOCK_RNG.integers(0, 999_999, 6000).tolist()])
     values = np.concatenate([n / 100.0, (n - 0.5) / 100.0, halves])
-    values = (np.resize(values, BLOCK_ROWS) * _SIGNS)[_BLOCK_RNG.permutation(BLOCK_ROWS)]
-    assert np.abs(values).max() < dataio.FIXED2_LIMIT
+    values = np.resize(values, BLOCK_ROWS)[_BLOCK_RNG.permutation(BLOCK_ROWS)]
+    assert values.min() >= 0.0 and values.max() == 9999.99
     assert _block_text(values, fixed2_cells, b" ") == "".join(
         f"{v:.2f} " for v in values.tolist())
+    # a sign or a fifth integer digit is off the canvas
+    for bad in (values * _SIGNS, values + 10_000.0):
+        with pytest.raises(ValueError, match="canvas"):
+            _block_text(bad, fixed2_cells, b" ")
 
 
 def test_none_and_nan_give_empty_cells(tmp_path):

@@ -349,6 +349,26 @@ def test_observability_zero_rotation():
     assert observability(2, 0.0, 1e-12) == (False, FWHM_FACTOR / 1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: bandwidth_error(math.nan, 1, 1.0),  # returned nan
+    lambda: bandwidth_error(math.inf, 1, 1.0),  # returned inf
+    lambda: bandwidth_error(1.0, 1, math.inf),  # returned 0.0
+    lambda: bandwidth_error(1.0, 1, 5e-324),  # returned inf
+    lambda: fwhm_bandwidth(math.inf),  # returned 0.0
+    lambda: fwhm_bandwidth(5e-324),  # returned inf
+    lambda: fwhm_bandwidth(math.nan),
+    lambda: observability(2, math.nan, 1e-12),  # returned (False, ...)
+    lambda: observability(2, math.inf, 1e-12),
+], ids=["bandwidth_error-nan", "bandwidth_error-inf", "bandwidth_error-inf-rotation",
+        "bandwidth_error-overflow", "fwhm_bandwidth-inf", "fwhm_bandwidth-overflow",
+        "fwhm_bandwidth-nan", "observability-nan", "observability-inf"])
+def test_public_helpers_reject_non_finite_input_and_results(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # visibility and the restricted density matrix
 
@@ -389,6 +409,16 @@ def test_trace_rejects_non_finite_probabilities(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         HomTrace(tau=taus, p=np.array([0.5, bad, 0.2, 0.3, 0.5]), tau_c=TAU_C, l=0,
                  omega_rot=0.0, method="closed")
+
+
+def test_visibility_rejects_delays_whose_span_overflows():
+    # the span 2e308 warned "overflow encountered in scalar subtract"
+    taus = np.array([-1e308, -1.0, 0.0, 1.0, 1e308])
+    wide = HomTrace(tau=taus, p=np.full(5, 0.5), tau_c=TAU_C, l=0, omega_rot=0.0, method="closed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite range"):
+            visibility(wide)
 
 
 def test_visibility_rejects_zero_baseline():

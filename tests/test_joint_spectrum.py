@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_jsa_antidiagonal_point(pump, pm):
 def test_jsa_diagonal_point(pump, pm):
     # pump exponent (2 sigma)^2 / (2 sigma^2) = 2, phase-matching factor 1
     assert jsa_value(SIGMA, SIGMA, pump, pm) == pytest.approx(EXP_M2, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu2", [1e200, -1e200])
+def test_jsa_value_is_zero_where_a_square_overflows(nu2):
+    # each warned "overflow encountered in scalar power" on its way to exactly 0
+    pump, pm = PumpSpectrum(0.0, 1e12), PhaseMatchGaussian(0.1, 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jsa_value(1e200, nu2, pump, pm) == 0.0
+        both = jsa_value(np.array([1e200, 0.0]), np.array([nu2, 0.0]), pump, pm)
+        assert both.tolist() == [0.0, 1.0]
 
 
 def test_phase_match_coefficients_locked_opposite():

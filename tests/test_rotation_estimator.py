@@ -2,6 +2,7 @@ import math
 import pathlib
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hombeat import rotation_estimator
-from hombeat.hom_interference import HomConfig, coincidence_rde
+from hombeat.hom_interference import HomConfig, _normal_width, coincidence_rde
 from hombeat.rotation_estimator import (
     EstimateResult,
     NoisyTrace,
@@ -80,6 +81,35 @@ def test_trace_rejects_non_finite_samples():
             NoisyTrace(tau=np.where(np.arange(101) == 100, bad, taus), p=p)
     with pytest.raises(ValueError):
         NoisyTrace(tau=taus, p=p, noise_sigma=math.nan)
+
+
+# a noiseless beating dip: tau_c = 1 ps, beat 4e12 rad/s, 601 delays over +-3 ps
+_DIP_TAU = np.linspace(-3e-12, 3e-12, 601)
+_DIP_P = coincidence_rde(_DIP_TAU, 1e-12, 1, 2e12)
+
+
+@pytest.mark.parametrize("k", range(-170, 301, 10))
+def test_delays_at_any_scale_fit_or_are_rejected_without_warnings(k):
+    # past 1e-150 or 1e170 the dip model divided 0/0 and tau**2 overflowed;
+    # such grids are now rejected, with 2*max|tau|**2 outside the normal floats
+    scale = 10.0**k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            trace = NoisyTrace(tau=_DIP_TAU * scale, p=_DIP_P)
+        except ValueError:
+            assert not _normal_width(3e-12 * scale)
+            return
+        result = estimate(trace)
+    assert result.converged
+    assert result.beat * scale == pytest.approx(4e12, rel=1e-9)
+    assert result.tau_c_hat / scale == pytest.approx(1e-12, rel=1e-9)
+
+
+def test_beat_extraction_rejects_an_envelope_whose_square_underflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extract_beat(NoisyTrace(_DIP_TAU, _DIP_P), tau_c_hat=1e-160) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from itertools import groupby
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from hombeat import svgplot
 from hombeat.cli import main
-from hombeat.dataio import FIXED2_LIMIT, fixed2_cells
+from hombeat.dataio import fixed2_cells
 
 
 def _scalar_heat_color(t: float) -> str:
@@ -27,9 +28,9 @@ _RECT = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" height="([^"]
                    r'fill="([^"]*)"/>')
 
 
-def _raster(path, nx, ny, width=560, height=540):
+def _raster(path, nx, ny):
     """The fill at each cell centre, [i][j], after painting every rect in document order."""
-    x0, y0, x1, y1 = 70, 30, width - 30, height - 60
+    x0, y0, x1, y1 = 70, 30, 560 - 30, 540 - 60
     cx = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     cy = y1 - (np.arange(ny) + 0.5) * (y1 - y0) / ny
     fills = np.full((nx, ny), "", object)
@@ -129,10 +130,13 @@ def test_long_polyline_spans_blocks_without_seams(tmp_path):
     assert re.findall(r'<polyline points="([^"]*)"', path.read_text()) == expected
 
 
-# "x.xx5" decimals, whose nearest doubles sit next to a tie of "%.2f"
-_HALF_CENT = st.integers(-(10**8), 10**8).map(lambda k: float(f"{k}5e-3"))
-_POINT_VALUES = (st.floats(-1e6, 1e6) | _HALF_CENT
-                 | st.sampled_from([-0.0, 0.0, -0.001, -0.004999, 0.005, 0.125, math.nan]))
+# "x.xx5" decimals, whose nearest doubles sit next to a tie of "%.2f", and
+# the digit splits of canvas pixels up to 9999.99
+_HALF_CENT = st.integers(0, 999_998).map(lambda k: float(f"{k}5e-3"))
+_POINT_VALUES = (st.floats(0.0, 9999.99) | _HALF_CENT
+                 | st.sampled_from([0.0, 0.001, 0.004999, 0.005, 0.125, 9.99, 9.995, 99.99,
+                                    99.995, 999.99, 999.995, 9999.99, 9999.985,
+                                    math.nextafter(9999.995, 0.0)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,9 +155,80 @@ def test_polyline_points_match_format(points, block):
 
 
 def test_point_encoder_rejects_values_past_its_digits():
-    fixed2_cells(np.array([FIXED2_LIMIT * (1 - 2**-52)]), np.zeros((1, 20), np.uint8))
-    with pytest.raises(ValueError):
-        fixed2_cells(np.array([0.0, -FIXED2_LIMIT]), np.zeros((2, 20), np.uint8))
+    below = math.nextafter(9999.995, 0.0)
+    cells = fixed2_cells(np.array([below, 0.0]), np.zeros((2, 8), np.uint8))
+    assert cells[:, :7].tobytes() == b"9999.99" + b"\0" * 3 + b"0.00"  # NUL: unused slot
+    # a sign bit, NaN, or five integer digits once rounded to cents
+    for bad in [-0.0, -0.001, -1e6, math.nan, -math.inf, math.inf, 9999.995, 1e4, 1e9]:
+        with pytest.raises(ValueError, match="canvas"):
+            fixed2_cells(np.array([0.0, bad]), np.zeros((2, 8), np.uint8))
+        with pytest.raises(ValueError, match="canvas"):
+            svgplot._write_polyline(io.BytesIO(), np.array([1.0, bad]), np.ones(2), "#000000")
+
+
+# finite values with spans near the float range and constants that adding 1 cannot move
+_AXIS_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.sampled_from([-1.7976931348623157e308, -1e308, -1e17, -0.0, 0.0, 5e-324,
+                                   1.0, 2.0**53, 1e17, 1e308, 1.7976931348623157e308]))
+_COORDINATE = re.compile(r'\b([xy])[12]?="([^"]*)"')
+
+
+def _assert_on_canvas(text, width, height):
+    """Every x, y, x1, ... attribute and polyline point parses as a finite canvas position."""
+    coordinates = [(axis, float(v)) for axis, v in _COORDINATE.findall(text)]
+    for points in re.findall(r'points="([^"]*)"', text):
+        for point in points.split():
+            x, y = point.split(",")
+            coordinates += [("x", float(x)), ("y", float(y))]
+    assert coordinates
+    for axis, v in coordinates:
+        assert 0.0 <= v <= {"x": width, "y": height}[axis], (axis, v)
+
+
+def _plots_or_refuses(plot, path):
+    """Run plot(path) with warnings as errors; True if it wrote path, False if it refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            plot(path)
+        except ValueError:
+            assert not path.exists()
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(_AXIS_VALUES, _AXIS_VALUES), min_size=1, max_size=6)
+                | st.tuples(_AXIS_VALUES, st.integers(1, 4)).map(lambda c: [(c[0], c[0])] * c[1]),
+                min_size=1, max_size=3))
+def test_line_plot_stays_on_its_canvas_or_refuses(tmp_path_factory, series):
+    path = tmp_path_factory.mktemp("line") / "line.svg"
+    series = [(f"s{k}", [x for x, _ in s], [y for _, y in s]) for k, s in enumerate(series)]
+    if _plots_or_refuses(lambda p: svgplot.line_plot(p, series), path):
+        _assert_on_canvas(path.read_text(), 640, 440)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*[st.lists(_AXIS_VALUES, min_size=1, max_size=4)] * 2)
+def test_heatmap_axes_stay_on_its_canvas_or_refuse(tmp_path_factory, x_axis, y_axis):
+    path = tmp_path_factory.mktemp("heat") / "heat.svg"
+    values = np.arange(len(x_axis) * len(y_axis), dtype=float).reshape(len(x_axis), len(y_axis))
+    if _plots_or_refuses(lambda p: svgplot.heatmap(p, x_axis, y_axis, values), path):
+        _assert_on_canvas(path.read_text(), 560, 540)
+
+
+@pytest.mark.parametrize("plot", [
+    lambda p: svgplot.line_plot(p, [("s", [0.0, 1.0], [-1e308, 1e308])]),
+    lambda p: svgplot.line_plot(p, [("s", [-1e308, 1e308], [0.0, 1.0])]),
+    lambda p: svgplot.line_plot(p, [("s", [0.0, 1.0], [1e17, 1e17])]),
+    lambda p: svgplot.line_plot(p, [("s", [-1e17, -1e17], [0.0, 1.0])]),
+    lambda p: svgplot.heatmap(p, [-1e308, 1e308], [0.0], np.ones((2, 1))),
+    lambda p: svgplot.heatmap(p, [0.0], [0.0, math.nan], np.ones((1, 2))),
+], ids=["line-y-span", "line-x-span", "line-y-constant", "line-x-constant", "heatmap-x-span",
+        "heatmap-nan-axis"])
+def test_plots_refuse_spans_they_cannot_draw(tmp_path, plot):
+    # the line plots wrote points="nan,nan ..." or a flat line at a mislabelled axis
+    assert not _plots_or_refuses(plot, tmp_path / "plot.svg")
 
 
 def test_heatmap_memory_stays_bounded(tmp_path):
