@@ -99,12 +99,15 @@ def jsa_value(nu1, nu2, pump: PumpSpectrum, pm: PhaseMatchGaussian):
     """Joint spectral amplitude at detunings (nu1, nu2); accepts arrays.
 
     The unshifted profile times the pump envelope, equal to 1 at the
-    degenerate point.
+    degenerate point, and exactly 0 wherever the envelope is 0.
     """
     nu1 = np.asarray(nu1, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
     with np.errstate(over="ignore"):  # a square beyond the float range is an amplitude of 0
-        out = _profile(nu1, nu2, pm, 0.0) * _envelope(nu1, nu2, pump)
+        envelope = _envelope(nu1, nu2, pump)
+        # the amplitude is 0 where the envelope is; there A nu1 - A nu2 may be inf - inf
+        dark = envelope == 0.0
+        out = _profile(np.where(dark, 0.0, nu1), np.where(dark, 0.0, nu2), pm, 0.0) * envelope
     return float(out) if out.ndim == 0 else out
 
 

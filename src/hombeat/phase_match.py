@@ -189,17 +189,39 @@ def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, th
     return n_s, theta_i, np.hypot(k_i_trans, k_i_long) - n_i * (cfg.pump_frequency_thz - f_signal)
 
 
-def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
-    """Signal angle, idler angle (rad) and outside angle (deg) per frequency, NaN if unsolved.
+def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
+    """Each row's bracketing scan step (-1: none) and its mismatch there; see ``_solve_block``."""
+    f_signal, no_s, no_i, ne_s, ne_i = photons
+    step, fa = np.full(f_signal.size, -1), np.empty(f_signal.size)
+    scan = cfg.pump_frequency_thz - f_signal > 0.0  # rows left to the linear scan
+    sure = scan & (no_s * f_signal < k_p * math.cos(_MAX_INTERNAL_ANGLE_RAD))
+    sure &= (ne_s < no_s) if extraordinary else (ne_i < no_i)
+    rows = np.flatnonzero(sure)
+    v = _kinematics(cfg, k_p, photons[:, rows, None], extraordinary, _SCAN_ANGLES[[0, -1]])[2]
+    finite = np.isfinite(v).all(axis=1)
+    rows, (v_lo, v_hi) = rows[finite], v[finite].T
+    scan[rows] = False
+    zero = v_lo == 0.0
+    step[rows[zero]], fa[rows[zero]] = 0, v_lo[zero]
+    search = (v_lo < 0.0) & (v_hi >= 0.0)
+    rows, v_lo, v_hi = rows[search], v_lo[search], v_hi[search]
+    searched = photons[:, rows]
+    lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, _COARSE_SCAN_STEPS)
+    while (hi - lo > 1).any():  # keeps v_lo < 0 <= v_hi
+        mid = (lo + hi) // 2
+        v = _kinematics(cfg, k_p, searched, extraordinary, _SCAN_ANGLES[mid])[2]
+        up = v >= 0.0
+        lo, v_lo = np.where(up, lo, mid), np.where(up, v_lo, v)
+        hi, v_hi = np.where(up, mid, hi), np.where(up, v, v_hi)
+    # a positive first sample closes the step before it; a zero closes its own
+    # step, which the last trial angle does not have
+    positive = v_hi > 0.0
+    closed = positive | (hi < _COARSE_SCAN_STEPS)
+    rows = rows[closed]
+    step[rows] = np.where(positive, lo, hi)[closed]
+    fa[rows] = np.where(positive, v_lo, v_hi)[closed]
 
-    The scan takes ``_SCAN_CHUNK`` trial angles at a time, carrying each row's
-    last mismatch.  A row brackets at the first scan step whose previous
-    mismatch is zero or changes sign and stops there or at its first NaN; a
-    NaN up to the bracket's far end, or met while bisecting, leaves it unsolved.
-    """
-    photons = _photons(cfg, f)
-    step, fa = np.full(f.size, -1), np.empty(f.size)  # bracketing step (-1: none), its mismatch
-    rows = np.flatnonzero(cfg.pump_frequency_thz - f > 0.0)  # rows still scanning
+    rows = np.flatnonzero(scan)  # the rows not certified scan linearly
     last = np.full(rows.size, np.nan)  # a NaN never closes, so angle 0 opens no bracket
     for lo in range(0, _SCAN_ANGLES.size, _SCAN_CHUNK):
         if not rows.size:
@@ -216,6 +238,53 @@ def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: b
         step[rows[closed]] = lo - 1 + col[closed]
         fa[rows[closed]] = prev[at][closed]
         rows, last = rows[~done], v[~done, -1]
+    return step, fa
+
+
+def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
+    """Signal angle, idler angle (rad) and outside angle (deg) per frequency, NaN if unsolved.
+
+    A row brackets at the first scan step whose near-end mismatch is zero or
+    changes sign by its far end; a NaN up to the bracket's far end, or met
+    while bisecting, leaves it unsolved.  ``_brackets`` finds that step in
+    one of two ways, with the same bits.
+
+    *Certified rows: binary search.*  Over the scan, theta in [0, 10] deg,
+    the idler shell mismatch ``v = |k_p - k_s| - n_i f_i`` strictly rises
+    when ``no_s f_s < k_p cos 10deg``, the extraordinary photon's
+    ``ne < no`` and ``v`` is finite at both scan ends.  As the ellipsoid
+    index is NaN past 90 deg, a finite ``v`` at 10 deg puts every
+    extraordinary index angle, which rises over the scan, at or below
+    90 deg, where the index falls:
+
+    - ordinary signal: ``k_s = no_s f_s`` is fixed and
+      ``|k_p - k_s|^2 = k_p^2 + k_s^2 - 2 k_p k_s cos theta`` rises.  The
+      derivative of ``tan theta_i = k_s sin theta / (k_p - k_s cos theta)``
+      has the sign of ``k_p cos theta - k_s > 0``, so ``theta_i`` rises
+      from 0 to ``theta_i(10deg)``, ``n_i`` at ``cut + theta_i`` falls and
+      ``n_i f_i`` does not rise.
+    - extraordinary signal: ``n_i f_i`` is fixed and
+      ``k_s = n_s(cut + theta) f_s <= no_s f_s`` falls, so
+      ``d|k_p - k_s|^2/dtheta = 2 k_s' (k_s - k_p cos theta) + 2 k_p k_s sin theta``
+      is a sum of two terms >= 0, the second > 0 for theta > 0.
+
+    Every sample between the finite ends is finite (the indices are, and
+    each index angle lies between its end values), and neighbouring
+    samples differ by far more than their rounding error (by at least 1e-3
+    against about 1e-12 for a 740.88 THz pump at any cut), so the computed
+    samples rise and change sign at most once.  The scan's bracket is thus
+    fixed by the first sample ``v_j >= 0``, found by bisecting the scan
+    indices in 7 probes: ``v_j > 0`` closes step ``j - 1`` and ``v_j = 0``
+    closes step ``j``, except at ``j = 128``, which has no step after it;
+    ``v_0 > 0`` or ``v_128 < 0`` closes none.
+
+    *Other rows: linear scan.*  Rows the indices do not certify (a
+    positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) take
+    ``_SCAN_CHUNK`` trial angles at a time, carrying each row's last
+    mismatch, and stop at their bracket or their first NaN.
+    """
+    photons = _photons(cfg, f)
+    step, fa = _brackets(cfg, k_p, photons, extraordinary)
     live = np.flatnonzero(step >= 0)
     photons, step, fa = photons[:, live], step[live], fa[live]
     a = _SCAN_ANGLES[step]

@@ -106,8 +106,12 @@ def line_plot(
 ) -> None:
     """Render (label, x, y) series as polylines on a 640 x 440 canvas, the axes spanning
     the finite points (a constant axis 1, y 5% more at each end); a span that is not
-    finite or a constant past 2**53 raises ValueError before the file is opened."""
-    x0, y0, x1, y1 = 70, 30, 620, 380
+    finite, a constant past 2**53 or a legend entry below the canvas raises ValueError
+    before the file is opened."""
+    width, height, (x0, y0, x1, y1) = 640, 440, (70, 30, 620, 380)
+    legend_y = [y0 + 14 + 16 * k for k in range(len(series))]  # text baselines, one row a series
+    if any(label and ly > height for (label, _, _), ly in zip(series, legend_y)):
+        raise ValueError(f"a legend entry falls below the {height}-px canvas")
     xs = np.concatenate([np.asarray(x, float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, float) for _, _, y in series])
     finite = np.isfinite(xs) & np.isfinite(ys)
@@ -125,7 +129,7 @@ def line_plot(
     if not (0.0 < xhi - xlo < math.inf and 0.0 < yhi - ylo < math.inf):
         raise ValueError("each axis must span a finite, nonzero range (a constant below 2**53)")
 
-    parts = _svg_header(640, 440)
+    parts = _svg_header(width, height)
     _axes(parts, x0, y0, x1, y1, xlo, xhi, ylo, yhi, xlabel, ylabel, title)
     with open(path, "wb") as fh:
         _write_parts(fh, parts)
@@ -142,7 +146,7 @@ def line_plot(
                 if stop - start >= 2:
                     _write_polyline(fh, px[start:stop], py[start:stop], color)
             if label:
-                ly = y0 + 14 + 16 * k
+                ly = legend_y[k]
                 _write_parts(fh, [
                     f'<line x1="{x1 - 120}" y1="{ly - 4}" x2="{x1 - 95}" y2="{ly - 4}" '
                     f'stroke="{color}" stroke-width="2"/>',

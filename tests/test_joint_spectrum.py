@@ -70,6 +70,30 @@ def test_jsa_value_is_zero_where_a_square_overflows(nu2):
         assert both.tolist() == [0.0, 1.0]
 
 
+def test_jsa_value_is_zero_where_the_envelope_is_zero():
+    # A nu1 and A nu2 both overflowed to +inf: inf - inf gave NaN with an "invalid value" warning
+    pump, pm = PumpSpectrum(0.0, 1e12), PhaseMatchGaussian(0.1, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jsa_value(1e300, 1e300, pump, pm) == 0.0
+        both = jsa_value(np.array([1e300, 0.0, -1e300]), np.array([1e300, 0.0, -1e300]), pump, pm)
+        assert both.tolist() == [0.0, 1.0, 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu1=st.floats(allow_nan=False), nu2=st.floats(allow_nan=False),
+       a_coef=st.sampled_from([A_COEF, 1e-12, 1e10, 1e155]))
+def test_property_jsa_value_is_profile_times_envelope_where_the_envelope_is_not_zero(
+        nu1, nu2, a_coef):
+    pump, pm = PumpSpectrum(0.0, 1e12), PhaseMatchGaussian(GAMMA, a_coef)
+    with np.errstate(all="ignore"):
+        envelope = _envelope(np.float64(nu1), np.float64(nu2), pump)
+        unmasked = _profile(np.float64(nu1), np.float64(nu2), pm, 0.0) * envelope
+        got = jsa_value(nu1, nu2, pump, pm)
+    want = 0.0 if envelope == 0.0 else float(unmasked)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_phase_match_coefficients_locked_opposite():
     with pytest.raises(ValueError):
         PhaseMatchGaussian(gamma=-0.1, a_coef=2.0)

@@ -122,6 +122,10 @@ def test_wavelength_conversion():
 
 
 KATO_1986 = ((2.7359, 0.01878, 0.01822, 0.01354), (2.3753, 0.01224, 0.01667, 0.01516))
+# ne > no at every wavelength, so no row's mismatch is certified monotone and
+# every row takes the linear scan; indices that rise with wavelength let it phase-match
+POSITIVE_UNIAXIAL = SellmeierSet((2.40, 0.0, 0.0, -0.05), (2.45, 0.0, 0.0, -0.05),
+                                 provenance="synthetic positive uniaxial")
 
 
 def test_sellmeier_sets_with_a_real_index_load():
@@ -257,7 +261,7 @@ def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
     cuts = [40.0, 44.5, 85.0, 89.0, *rng.uniform(40.0, 89.0, 4).tolist()]
     solved = unsolved = 0
     for cut in cuts:
-        for sellmeier in (BBO_EIMERL_1987, kato):
+        for sellmeier in (BBO_EIMERL_1987, kato, POSITIVE_UNIAXIAL):
             cfg = CrystalConfig(cut, PUMP_THZ, sellmeier)
             for lo, hi in (WINDOW, (200.0, 540.0)):
                 freqs = np.concatenate([[lo, hi, PUMP_THZ], rng.uniform(lo, hi, 18)])
@@ -268,6 +272,93 @@ def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
                     solved += int(np.isfinite(got[2]).sum())
                     unsolved += int(np.isnan(got[2]).sum())
     assert solved > 200 and unsolved > 200
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.floats(0.0, 90.0, exclude_min=True, exclude_max=True),
+       ends=st.lists(st.floats(PUMP_THZ / 4.0, 3.0 * PUMP_THZ / 4.0), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+       sellmeier=st.sampled_from([BBO_EIMERL_1987, SellmeierSet(*KATO_1986, provenance="Kato"),
+                                  POSITIVE_UNIAXIAL]))
+def test_property_solve_is_bit_identical_to_the_whole_scan(cut, ends, sellmeier):
+    # certified rows take the binary search, the rest the chunked scan: both give the same bits
+    cfg = CrystalConfig(cut, PUMP_THZ, sellmeier)
+    freqs = phase_match.frequency_grid(*ends, 41)
+    for ray in ("ordinary", "extraordinary"):
+        got = phase_match._solve(cfg, freqs, ray)
+        want = block_phase_match_reference.solve(cfg, freqs, ray)
+        assert np.array_equal(got, want, equal_nan=True), ray
+
+
+def _table_kinematics(offsets):
+    """A stand-in for ``_kinematics``: row r's mismatch at scan angle j is ``j - offsets[r]``.
+
+    Each row's signal frequency is its row number; the idler angle is 0.
+    """
+    def kinematics(cfg, k_p, photons, extraordinary, theta_s):
+        j = np.rint(theta_s / phase_match._SCAN_ANGLES[1])
+        v = j - np.asarray(offsets)[photons[0].astype(int)]
+        return np.ones_like(v), np.zeros_like(v), v
+    return kinematics
+
+
+# offset: the scan's bracketing step (-1: none) and its near-end mismatch
+_EXACT_ZERO_RULES = [
+    (0.0, 0, 0.0),  # v_0 = 0: step 0
+    (0.5, 0, -0.5),  # v_1 > 0: the step before it
+    (5.0, 5, 0.0),  # v_5 = 0: its own step
+    (4.5, 4, -0.5),
+    (127.0, 127, 0.0),
+    (127.5, 127, -0.5),
+    (128.0, -1, None),  # v_128 = 0 has no step after it
+    (-1.0, -1, None),  # v_0 > 0
+    (128.5, -1, None),  # v_128 < 0
+]
+
+
+@pytest.mark.parametrize("certified", [True, False])
+@pytest.mark.parametrize("extraordinary", [False, True])
+def test_brackets_follow_the_scans_exact_zero_rules(monkeypatch, certified, extraordinary):
+    offsets, steps, near = zip(*_EXACT_ZERO_RULES)
+    monkeypatch.setattr(phase_match, "_kinematics", _table_kinematics(offsets))
+    rows = np.arange(len(offsets), dtype=float)
+    # no < ne on both photons certifies no row, so the scan must apply the same rules
+    ne = 1.5 if certified else 2.5
+    photons = np.stack([rows, *np.full((2, rows.size), 2.0), *np.full((2, rows.size), ne)])
+    step, fa = phase_match._brackets(config(45.0), 1e3, photons, extraordinary)
+    assert step.tolist() == list(steps)
+    closed = step >= 0
+    assert fa[closed].tolist() == [v for v in near if v is not None]
+
+
+def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
+    # at cut 41.54 deg every Eimerl row is certified: two end probes and 7 bisection
+    # probes of per-row vectors, where the chunked scan takes about 75 a row
+    shapes = []  # of each mismatch array evaluated while finding brackets
+    kinematics, brackets = phase_match._kinematics, phase_match._brackets
+
+    def counting_kinematics(*args):
+        result = kinematics(*args)
+        shapes.append(result[2].shape)
+        return result
+
+    def counting_brackets(*args):
+        phase_match._kinematics = counting_kinematics
+        try:
+            return brackets(*args)
+        finally:
+            phase_match._kinematics = kinematics
+
+    monkeypatch.setattr(phase_match, "_brackets", counting_brackets)
+    freqs = phase_match.frequency_grid(*WINDOW, 801)
+    for ray in ("ordinary", "extraordinary"):
+        shapes.clear()
+        phase_match._solve(config(41.54), freqs, ray)
+        assert all(len(shape) == 1 or shape[1] == 2 for shape in shapes), shapes
+        assert sum(math.prod(shape) for shape in shapes) <= 12 * 801
+        shapes.clear()
+        phase_match._solve(CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL), freqs, ray)
+        assert shapes[0] == (0, 2)  # the end probes: no row certified
 
 
 def test_emission_curves_memory_bounded_by_blocks():

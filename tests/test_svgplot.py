@@ -231,6 +231,19 @@ def test_plots_refuse_spans_they_cannot_draw(tmp_path, plot):
     assert not _plots_or_refuses(plot, tmp_path / "plot.svg")
 
 
+@pytest.mark.parametrize("n_series,fits", [(25, True), (26, False)])
+def test_legend_stays_on_the_canvas_or_refuses(tmp_path, n_series, fits):
+    # entry k's text baseline is 44 + 16 k: 428 px for the 25th, 444 px (past 440) for the 26th
+    series = [(f"s{k}", [0.0, 1.0], [0.0, float(k)]) for k in range(n_series)]
+    path = tmp_path / "legend.svg"
+    assert _plots_or_refuses(lambda p: svgplot.line_plot(p, series), path) == fits
+    if fits:
+        _assert_on_canvas(path.read_text(), 640, 440)
+    # an unlabelled series takes its row but draws no entry
+    unlabelled = series[:-1] + [("", [0.0, 1.0], [0.0, 1.0])]
+    assert _plots_or_refuses(lambda p: svgplot.line_plot(p, unlabelled), tmp_path / "u.svg")
+
+
 def test_heatmap_memory_stays_bounded(tmp_path):
     axis = np.linspace(-1.0, 1.0, 256)
     values = np.exp(-np.add.outer(axis**2, axis**2))
