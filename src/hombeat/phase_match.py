@@ -36,6 +36,9 @@ _BISECTION_TOL_RAD = 1e-10
 _COARSE_SCAN_STEPS = 128
 _SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _COARSE_SCAN_STEPS
 _SCAN_CHUNK = 16  # trial angles per scan step; a row stops scanning at its bracket
+# tau = _SIGN_MARGIN (k_p + no_s f_s + no_i f_i): tau / 2 exceeds a certified
+# row's mismatch rounding error thousands of times over (see _solve_block)
+_SIGN_MARGIN = 2.0**-41
 # Frequencies solved per step: bounds the scan's memory at any number of points.
 _BLOCK_ROWS = 1024
 
@@ -94,7 +97,7 @@ class CrystalConfig:
         lam, (lo, hi) = wavelength_um(self.pump_frequency_thz), WAVELENGTH_WINDOW_UM
         if not lo <= lam <= hi:
             raise ValueError(
-                f"pump wavelength {lam:.4f} um outside the supported window [{lo}, {hi}] um")
+                f"pump wavelength {lam:.4g} um outside the supported window [{lo}, {hi}] um")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +193,14 @@ def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, th
 
 
 def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
-    """Each row's bracketing scan step (-1: none) and its mismatch there; see ``_solve_block``."""
+    """Each row's bracketing scan step (-1: none) and the mismatch at its near and far end.
+
+    The far end's is given only for a certified row whose step changes sign
+    and is NaN on every other row; see ``_solve_block``.
+    """
     f_signal, no_s, no_i, ne_s, ne_i = photons
     step, fa = np.full(f_signal.size, -1), np.empty(f_signal.size)
+    fb = np.full(f_signal.size, np.nan)
     scan = cfg.pump_frequency_thz - f_signal > 0.0  # rows left to the linear scan
     sure = scan & (no_s * f_signal < k_p * math.cos(_MAX_INTERNAL_ANGLE_RAD))
     sure &= (ne_s < no_s) if extraordinary else (ne_i < no_i)
@@ -220,6 +228,7 @@ def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
     rows = rows[closed]
     step[rows] = np.where(positive, lo, hi)[closed]
     fa[rows] = np.where(positive, v_lo, v_hi)[closed]
+    fb[rows] = np.where(positive, v_hi, np.nan)[closed]
 
     rows = np.flatnonzero(scan)  # the rows not certified scan linearly
     last = np.full(rows.size, np.nan)  # a NaN never closes, so angle 0 opens no bracket
@@ -238,7 +247,36 @@ def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
         step[rows[closed]] = lo - 1 + col[closed]
         fa[rows[closed]] = prev[at][closed]
         rows, last = rows[~done], v[~done, -1]
-    return step, fa
+    return step, fa, fb
+
+
+def _sign_bounds(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, a, b, fa, fb):
+    """Angles ``x-``, ``x+`` in each step ``[a, b]`` beyond which a certified row's sign is known.
+
+    On a certified row (``fa < 0 < fb``) the step's linear interpolant and
+    two secant steps, each clipped to ``[a, b]``, estimate the root; probes
+    at ``h = 4 tau / slope`` either side of it, with the step's secant slope,
+    are clipped to ``[a, b]`` too.  A probe whose computed mismatch is below
+    ``-tau`` is ``x-``, one above ``tau`` is ``x+``; every other bound is
+    -inf or inf.  ``_solve_block`` says why these decide signs.
+    """
+    below, above = np.full(a.size, -np.inf), np.full(a.size, np.inf)
+    rows = np.flatnonzero((fa < 0.0) & (fb > 0.0))
+    if not rows.size or k_p < 2.0**-450:  # below that, fa * fm could underflow
+        return below, above
+    photons, a, b, fa, fb = photons[:, rows], a[rows], b[rows], fa[rows], fb[rows]
+    f_signal, no_s, no_i = photons[:3]
+    tau = _SIGN_MARGIN * (k_p + no_s * f_signal + no_i * (cfg.pump_frequency_thz - f_signal))
+    slope = (fb - fa) / (b - a)
+    x0, v0, x = b, fb, a - fa / slope
+    for _ in range(2):
+        v = _kinematics(cfg, k_p, photons, extraordinary, x)[2]
+        x0, v0, x = x, v, np.clip(np.where(v == v0, x, x - v * (x - x0) / (v - v0)), a, b)
+    probes = np.clip(x + np.multiply.outer([-4.0, 4.0], tau / slope), a, b)
+    v = _kinematics(cfg, k_p, photons, extraordinary, probes)[2]
+    below[rows] = np.where(v[0] < -tau, probes[0], -np.inf)
+    above[rows] = np.where(v[1] > tau, probes[1], np.inf)
+    return below, above
 
 
 def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
@@ -282,23 +320,49 @@ def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: b
     positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) take
     ``_SCAN_CHUNK`` trial angles at a time, carrying each row's last
     mismatch, and stop at their bracket or their first NaN.
+
+    *Bisection.*  Each live row halves ``[a, b]`` at ``m = 0.5 (a + b)``,
+    keeping the half where ``fa * fm <= 0``, until it is no wider than the
+    tolerance.  Only midpoints strictly between the row's ``x-`` and ``x+``
+    from ``_sign_bounds`` (-inf and inf on rows not certified) are
+    evaluated; one at or below ``x-`` moves ``a`` and one at or above ``x+``
+    moves ``b``.  The bits are those of evaluating every midpoint:
+
+    - the computed mismatch is within ``tau / 2`` of the exact one, as
+      ``tau = 2**-41 (k_p + no_s f_s + no_i f_i)``, whose sum bounds every
+      wave number in ``v``, is thousands of times the rounding error (about
+      1.5 ulp of ``k_p`` against ``np.longdouble``).  So a computed
+      ``v(x-) < -tau`` puts the exact, rising ``v`` below ``-tau / 2`` at
+      every ``m <= x-``, where the computed ``v`` is then negative; likewise
+      it is positive at every ``m >= x+``.
+    - a skipped midpoint is never NaN (every sample on the scan is finite).
+      One below ``x-`` leaves an earlier negative ``fa`` in place of its
+      own, and ``fa * fm`` keeps its sign since it cannot underflow: a
+      nonzero mismatch is at least 2**-61 ``k_p`` (a small one is an exact
+      difference of wave numbers above ``(1 - cos 10deg) k_p / 2``), so a
+      product of two is normal for ``k_p >= 2**-450``, the only case where
+      ``_sign_bounds`` gives bounds.
     """
     photons = _photons(cfg, f)
-    step, fa = _brackets(cfg, k_p, photons, extraordinary)
+    step, fa, fb = _brackets(cfg, k_p, photons, extraordinary)
     live = np.flatnonzero(step >= 0)
-    photons, step, fa = photons[:, live], step[live], fa[live]
+    photons, step, fa, fb = photons[:, live], step[live], fa[live], fb[live]
     a = _SCAN_ANGLES[step]
     b = np.where(fa == 0.0, a, _SCAN_ANGLES[step + 1])
+    below, above = _sign_bounds(cfg, k_p, photons, extraordinary, a, b, fa, fb)
     ok = np.ones(live.size, dtype=bool)
     while (active := b - a > _BISECTION_TOL_RAD).any():
         m = 0.5 * (a + b)
-        fm = _kinematics(cfg, k_p, photons, extraordinary, m)[2]
-        ok &= ~(active & np.isnan(fm))
-        lower = fa * fm <= 0.0
-        upper = active & ~lower
+        lower = m >= above  # the mismatch at m is known positive: b moves
+        rows = np.flatnonzero(active & (below < m) & ~lower)  # the signs not known
+        if rows.size:
+            rows = slice(None) if rows.size == m.size else rows  # all rows: views, no copies
+            fm = _kinematics(cfg, k_p, photons[:, rows], extraordinary, m[rows])[2]
+            ok[rows] &= ~np.isnan(fm)
+            lower[rows] = fa[rows] * fm <= 0.0
+            fa[rows] = np.where(lower[rows], fa[rows], fm)
         b = np.where(active & lower, m, b)
-        a = np.where(upper, m, a)
-        fa = np.where(upper, fm, fa)
+        a = np.where(active & ~lower, m, a)
     theta_s = 0.5 * (a + b)
     n_s, theta_i, _ = _kinematics(cfg, k_p, photons, extraordinary, theta_s)
     sin_out = n_s * np.sin(theta_s)
@@ -344,6 +408,9 @@ def emission_curves(
     if not (pump / 4.0 <= lo < hi <= 3.0 * pump / 4.0):
         raise ValueError("frequency range must lie inside [pump/4, 3*pump/4]")
     freqs = frequency_grid(lo, hi, n_points)
+    if not (np.diff(freqs) > 0.0).all():
+        raise ValueError(
+            f"window [{lo}, {hi}] THz is too narrow for {n_points} distinct frequencies")
     o_curve, e_curve = (EmissionCurve(ray, freqs, _solve(cfg, freqs, ray)[2])
                         for ray in ("ordinary", "extraordinary"))
     if o_curve.n_unsolved == e_curve.n_unsolved == n_points:

@@ -437,6 +437,31 @@ def test_phasematch_rejects_pump_outside_the_dispersion_window(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_phasematch_pump_far_outside_the_window_prints_one_short_line(tmp_path, capsys):
+    # the wavelength was printed with {:.4f}: all 303 digits of 2.998e+302 um
+    out = tmp_path / "pm.csv"
+    assert run(["phasematch", "--cut-angle", "44", "--pump-thz", "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: pump wavelength 2.998e+302 um outside the supported window [0.3, 1.5] um\n")
+    assert not out.exists()
+
+
+def test_phasematch_window_too_narrow_for_its_points_exits_before_solving(
+        tmp_path, capsys, monkeypatch):
+    # 3 points in one ulp of 330 THz: two equal frequencies, found only after both solves
+    def no_solve(*args):
+        raise AssertionError("solved a window that cannot hold the points")
+
+    monkeypatch.setattr("hombeat.phase_match._solve", no_solve)
+    out = tmp_path / "pm.csv"
+    assert run(["phasematch", "--cut-angle", "44", "--f-min", "330", "--f-max",
+                "330.00000000000006", "--points", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: window [330.0, 330.00000000000006] THz is too narrow for 3 distinct "
+        "frequencies\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,code,stderr",
     [(["jsa", "--sigma", "1e-300", "--grid", "16"], 2, "error: joint amplitude is not finite"),

@@ -1,3 +1,4 @@
+import collections
 import math
 import pathlib
 import sys
@@ -207,6 +208,8 @@ def test_emission_curves_validation():
         emission_curves(config(45.0), (100.0, 410.0), 101)  # below pump/4
     with pytest.raises(ValueError):
         emission_curves(config(45.0), (330.0, 410.0), 1)
+    with pytest.raises(ValueError, match="too narrow for 3 distinct frequencies"):
+        emission_curves(config(45.0), (330.0, math.nextafter(330.0, 410.0)), 3)
 
 
 def test_no_solution_raises():
@@ -325,10 +328,14 @@ def test_brackets_follow_the_scans_exact_zero_rules(monkeypatch, certified, extr
     # no < ne on both photons certifies no row, so the scan must apply the same rules
     ne = 1.5 if certified else 2.5
     photons = np.stack([rows, *np.full((2, rows.size), 2.0), *np.full((2, rows.size), ne)])
-    step, fa = phase_match._brackets(config(45.0), 1e3, photons, extraordinary)
+    step, fa, fb = phase_match._brackets(config(45.0), 1e3, photons, extraordinary)
     assert step.tolist() == list(steps)
     closed = step >= 0
     assert fa[closed].tolist() == [v for v in near if v is not None]
+    # the far end is given only where a certified step changes sign: v_{j+1} = v_j + 1
+    signed = closed & (fa < 0.0) if certified else np.zeros_like(closed)
+    assert fb[signed].tolist() == (fa[signed] + 1.0).tolist()
+    assert np.isnan(fb[~signed]).all()
 
 
 def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
@@ -359,6 +366,116 @@ def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
         shapes.clear()
         phase_match._solve(CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL), freqs, ray)
         assert shapes[0] == (0, 2)  # the end probes: no row certified
+
+
+def test_sign_bounds_certify_only_probes_beyond_tau(monkeypatch):
+    # a stand-in mismatch theta - 0.0137 (slope 1) with tau = 1e-6: the secant
+    # steps reach the root and probes at 4 tau / slope either side read -+4 tau.
+    # A far end overstated 8x makes the probes 8x too close, at -+tau / 2: no bound.
+    # A row without a far end (not certified) gets no bound either.
+    root = 0.0137
+    monkeypatch.setattr(phase_match, "_SIGN_MARGIN", 1e-6)
+    monkeypatch.setattr(phase_match, "_kinematics",
+                        lambda cfg, k_p, photons, extraordinary, theta: (None, None, theta - root))
+    a, b = np.full(3, 0.01), np.full(3, 0.02)
+    fa, fb = a - root, np.array([b[0] - root, 8.0 * (b[1] - a[1]) + a[1] - root, np.nan])
+    photons = np.stack([np.ones(3), *np.zeros((4, 3))])  # tau = _SIGN_MARGIN * k_p
+    with np.errstate(all="ignore"):  # as in _solve: a converged secant step divides 0 by 0
+        below, above = phase_match._sign_bounds(config(45.0), 1.0, photons, False, a, b, fa, fb)
+    assert below[0] == pytest.approx(root - 4e-6) and above[0] == pytest.approx(root + 4e-6)
+    assert below[0] - root < -1e-6 and above[0] - root > 1e-6
+    assert below[1:].tolist() == [-math.inf] * 2 and above[1:].tolist() == [math.inf] * 2
+
+
+def _bisection_stage_counts(monkeypatch):
+    """A counter that ``_solve`` fills with the mismatches it evaluates per signal frequency.
+
+    Evaluations inside ``_brackets`` are not counted.
+    """
+    counts = collections.Counter()
+    kinematics, brackets = phase_match._kinematics, phase_match._brackets
+
+    def counting_kinematics(cfg, k_p, photons, extraordinary, theta_s):
+        result = kinematics(cfg, k_p, photons, extraordinary, theta_s)
+        counts.update(np.broadcast_to(photons[0], result[2].shape).ravel().tolist())
+        return result
+
+    def silent_brackets(*args):
+        phase_match._kinematics = kinematics
+        try:
+            return brackets(*args)
+        finally:
+            phase_match._kinematics = counting_kinematics
+
+    monkeypatch.setattr(phase_match, "_kinematics", counting_kinematics)
+    monkeypatch.setattr(phase_match, "_brackets", silent_brackets)
+    return counts
+
+
+def test_certified_rows_take_at_most_8_bisection_stage_evaluations(monkeypatch):
+    # two secant evaluations, two probes, the midpoints between the probes and
+    # the final angle; evaluating every midpoint took 24 and the final angle 1
+    counts = _bisection_stage_counts(monkeypatch)
+    freqs = phase_match.frequency_grid(*WINDOW, 801)
+    for ray in ("ordinary", "extraordinary"):
+        counts.clear()
+        solved = np.isfinite(phase_match._solve(config(41.54), freqs, ray)[2])
+        assert set(counts) == set(freqs[solved].tolist())  # here every bracketed row solves
+        assert max(counts.values()) <= 8, ray
+
+
+@pytest.mark.parametrize("uncertified", ["positive uniaxial", "no probe certifies"])
+def test_rows_without_known_signs_evaluate_every_midpoint(monkeypatch, uncertified):
+    counts = _bisection_stage_counts(monkeypatch)
+    if uncertified == "positive uniaxial":
+        cfg, extra = CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL), 0
+    else:  # tau as large as the wave numbers: no mismatch in a step lies beyond it
+        monkeypatch.setattr(phase_match, "_SIGN_MARGIN", 1.0)
+        cfg, extra = config(41.54), 4  # the secant evaluations and probes still run
+    freqs = phase_match.frequency_grid(*WINDOW, 801)
+    for ray in ("ordinary", "extraordinary"):
+        counts.clear()
+        got = phase_match._solve(cfg, freqs, ray)
+        assert np.array_equal(got, block_phase_match_reference.solve(cfg, freqs, ray),
+                              equal_nan=True), ray
+        # 24 halvings take a scan step below the bisection tolerance, then the final angle
+        assert len(counts) > 400 and set(counts.values()) == {extra + 25}, ray
+
+
+_LONGDOUBLE_PRECISE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+@pytest.mark.skipif(not _LONGDOUBLE_PRECISE, reason="longdouble has float64 precision here")
+@pytest.mark.parametrize("sellmeier", [
+    BBO_EIMERL_1987,
+    SellmeierSet(*KATO_1986, provenance="Kato 1986"),
+    # n^2 scaled by 1e6: indices of about 1.6e3
+    SellmeierSet(*((1e6 * a, 1e6 * b, c, 1e6 * d) for a, b, c, d in KATO_1986), provenance="x1e3"),
+])
+def test_mismatch_rounding_error_is_far_below_the_sign_margin(sellmeier):
+    # the skipped midpoints rely on |computed - exact| < tau / 2: the float
+    # mismatch is checked against the same formula in longdouble from the same inputs
+    rng = np.random.default_rng(20261020)
+    theta = np.radians(rng.uniform(0.0, 10.0, 64))
+    worst = 0.0
+    for cut in (41.54, 47.58, *rng.uniform(30.0, 60.0, 4).tolist()):
+        cfg = CrystalConfig(cut, PUMP_THZ, sellmeier)
+        freqs = rng.uniform(PUMP_THZ / 4.0, 3.0 * PUMP_THZ / 4.0, 32)
+        with np.errstate(all="ignore"):
+            k_p = phase_match._pump_wavenumber(cfg)
+            photons = phase_match._photons(cfg, freqs)
+            f_signal, no_s, no_i = photons[:3]
+            tau = phase_match._SIGN_MARGIN * (k_p + no_s * f_signal
+                                              + no_i * (PUMP_THZ - f_signal))
+            for extraordinary in (False, True):
+                v = phase_match._kinematics(cfg, k_p, photons[:, :, None], extraordinary, theta)[2]
+                exact = phase_match._kinematics(cfg, np.longdouble(k_p),
+                                                photons.astype(np.longdouble)[:, :, None],
+                                                extraordinary, theta.astype(np.longdouble))[2]
+                finite = np.isfinite(v)
+                assert finite.sum() > 1000
+                worst = max(worst, float((np.abs(v - exact) / tau[:, None])[finite].max()))
+    assert worst <= 1e-3
 
 
 def test_emission_curves_memory_bounded_by_blocks():
