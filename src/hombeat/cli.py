@@ -153,7 +153,7 @@ def _sellmeier_from_config(config: dict) -> SellmeierSet:
                 f"config key {key} must be a 4-element [a, b, c, d] array of Sellmeier "
                 f"coefficients as JSON numbers, got {value!r}"
             )
-        coefficients.append(tuple(float(v) for v in value))
+        coefficients.append(tuple(_typed(key, float, v) for v in value))
     provenance = config.get("sellmeier_provenance", "user-supplied")
     if not isinstance(provenance, str):
         raise ValueError(f"config key sellmeier_provenance must be a string, got {provenance!r}")

@@ -59,6 +59,8 @@ class RdeShift:
             raise ValueError("topological charge l must be an integer >= 0 within the float range")
         if not math.isfinite(self.omega_rot):
             raise ValueError("omega_rot must be finite")
+        if not math.isfinite(self.l * float(self.omega_rot)):
+            raise ValueError("the Doppler shift l * omega_rot must be finite")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ _SCAN_CHUNK = 16  # trial angles per scan step; a row stops scanning at its brac
 # tau = _SIGN_MARGIN (k_p + no_s f_s + no_i f_i): tau / 2 exceeds a certified
 # row's mismatch rounding error thousands of times over (see _solve_block)
 _SIGN_MARGIN = 2.0**-41
+_SECANT_STEPS = 12  # at most, before a certified row's sign probes
 # Frequencies solved per step: bounds the scan's memory at any number of points.
 _BLOCK_ROWS = 1024
 
@@ -51,7 +52,7 @@ class SellmeierSet:
     ``n^2 = a + b / (lam^2 - c) - d * lam^2`` with ``lam`` in micrometers.
     ``provenance`` names the published source of the numbers.  A set must
     give a real index across the whole wavelength window: finite
-    coefficients, no pole and ``n^2 > 0``.
+    coefficients, no pole and a finite ``n^2 > 0``.
     """
 
     ordinary: tuple[float, float, float, float]
@@ -70,8 +71,9 @@ class SellmeierSet:
             # (x - c)^2 = -b / d, so checking those points is exact
             root = math.sqrt(-b / d) if b * d < 0.0 else math.inf
             xs = [x for x in (lo, hi, c - root, c + root) if lo <= x <= hi]
-            if min(a + b / (x - c) - d * x for x in xs) <= 0.0:
-                raise ValueError(f"{name} Sellmeier set gives n^2 <= 0 in the wavelength window")
+            if not all(0.0 < a + b / (x - c) - d * x < math.inf for x in xs):
+                raise ValueError(
+                    f"{name} Sellmeier set gives n^2 <= 0 or not finite in the wavelength window")
 
 
 BBO_EIMERL_1987 = SellmeierSet(
@@ -193,17 +195,18 @@ def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, th
 
 
 def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
-    """Each row's bracketing scan step (-1: none) and the mismatch at its near and far end.
+    """Each row's bracketing scan step (-1: none), near-end mismatch and sign bounds.
 
-    The far end's is given only for a certified row whose step changes sign
-    and is NaN on every other row; see ``_solve_block``.
+    A row whose step comes from its sign bounds ``x-``, ``x+`` carries them
+    and the near-end mismatch -1; every other row carries -inf and inf.
+    See ``_solve_block``.
     """
     f_signal, no_s, no_i, ne_s, ne_i = photons
     step, fa = np.full(f_signal.size, -1), np.empty(f_signal.size)
-    fb = np.full(f_signal.size, np.nan)
+    below, above = np.full(f_signal.size, -np.inf), np.full(f_signal.size, np.inf)
     scan = cfg.pump_frequency_thz - f_signal > 0.0  # rows left to the linear scan
     sure = scan & (no_s * f_signal < k_p * math.cos(_MAX_INTERNAL_ANGLE_RAD))
-    sure &= (ne_s < no_s) if extraordinary else (ne_i < no_i)
+    sure &= ((ne_s < no_s) if extraordinary else (ne_i < no_i)) & (k_p >= 2.0**-450)
     rows = np.flatnonzero(sure)
     v = _kinematics(cfg, k_p, photons[:, rows, None], extraordinary, _SCAN_ANGLES[[0, -1]])[2]
     finite = np.isfinite(v).all(axis=1)
@@ -211,24 +214,14 @@ def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
     scan[rows] = False
     zero = v_lo == 0.0
     step[rows[zero]], fa[rows[zero]] = 0, v_lo[zero]
-    search = (v_lo < 0.0) & (v_hi >= 0.0)
-    rows, v_lo, v_hi = rows[search], v_lo[search], v_hi[search]
-    searched = photons[:, rows]
-    lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, _COARSE_SCAN_STEPS)
-    while (hi - lo > 1).any():  # keeps v_lo < 0 <= v_hi
-        mid = (lo + hi) // 2
-        v = _kinematics(cfg, k_p, searched, extraordinary, _SCAN_ANGLES[mid])[2]
-        up = v >= 0.0
-        lo, v_lo = np.where(up, lo, mid), np.where(up, v_lo, v)
-        hi, v_hi = np.where(up, mid, hi), np.where(up, v, v_hi)
-    # a positive first sample closes the step before it; a zero closes its own
-    # step, which the last trial angle does not have
-    positive = v_hi > 0.0
-    closed = positive | (hi < _COARSE_SCAN_STEPS)
-    rows = rows[closed]
-    step[rows] = np.where(positive, lo, hi)[closed]
-    fa[rows] = np.where(positive, v_lo, v_hi)[closed]
-    fb[rows] = np.where(positive, v_hi, np.nan)[closed]
+    sign = (v_lo < 0.0) & (v_hi > 0.0)
+    rows = rows[sign]
+    x_lo, x_hi = _sign_bounds(cfg, k_p, photons[:, rows], extraordinary, v_lo[sign], v_hi[sign])
+    j = np.searchsorted(_SCAN_ANGLES, x_lo, side="right") - 1  # the last angle <= x-
+    known = (j >= 0) & (np.searchsorted(_SCAN_ANGLES, x_hi) == j + 1)  # and x+ <= the next
+    scan[rows[~known]] = True
+    rows = rows[known]
+    step[rows], fa[rows], below[rows], above[rows] = j[known], -1.0, x_lo[known], x_hi[known]
 
     rows = np.flatnonzero(scan)  # the rows not certified scan linearly
     last = np.full(rows.size, np.nan)  # a NaN never closes, so angle 0 opens no bracket
@@ -247,36 +240,36 @@ def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
         step[rows[closed]] = lo - 1 + col[closed]
         fa[rows[closed]] = prev[at][closed]
         rows, last = rows[~done], v[~done, -1]
-    return step, fa, fb
+    return step, fa, below, above
 
 
-def _sign_bounds(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, a, b, fa, fb):
-    """Angles ``x-``, ``x+`` in each step ``[a, b]`` beyond which a certified row's sign is known.
+def _sign_bounds(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, v_lo, v_hi):
+    """Angles ``x-``, ``x+`` on the scan beyond which each row's mismatch sign is known.
 
-    On a certified row (``fa < 0 < fb``) the step's linear interpolant and
-    two secant steps, each clipped to ``[a, b]``, estimate the root; probes
-    at ``h = 4 tau / slope`` either side of it, with the step's secant slope,
-    are clipped to ``[a, b]`` too.  A probe whose computed mismatch is below
-    ``-tau`` is ``x-``, one above ``tau`` is ``x+``; every other bound is
-    -inf or inf.  ``_solve_block`` says why these decide signs.
+    For rows with ``v_lo = v(0) < 0 < v(10deg) = v_hi``: secant steps from
+    ``(10deg, v_hi)`` with the scan's secant slope, each clipped to the
+    scan and keeping the last slope wherever ``v`` did not change, run until
+    every row reads ``|v| <= tau`` or ``_SECANT_STEPS`` are taken; a row
+    that reads it stays put, so rounding noise never refits its slope.
+    Probes at ``h = 4 tau / slope`` either side of the estimate are clipped
+    to the scan too.  A probe whose computed mismatch is below ``-tau`` is
+    ``x-``, one above ``tau`` is ``x+``; every other bound is -inf or inf.
+    ``_solve_block`` says why these decide signs.
     """
-    below, above = np.full(a.size, -np.inf), np.full(a.size, np.inf)
-    rows = np.flatnonzero((fa < 0.0) & (fb > 0.0))
-    if not rows.size or k_p < 2.0**-450:  # below that, fa * fm could underflow
-        return below, above
-    photons, a, b, fa, fb = photons[:, rows], a[rows], b[rows], fa[rows], fb[rows]
     f_signal, no_s, no_i = photons[:3]
     tau = _SIGN_MARGIN * (k_p + no_s * f_signal + no_i * (cfg.pump_frequency_thz - f_signal))
-    slope = (fb - fa) / (b - a)
-    x0, v0, x = b, fb, a - fa / slope
-    for _ in range(2):
+    top = _MAX_INTERNAL_ANGLE_RAD
+    x0, v0, slope = top, v_hi, (v_hi - v_lo) / top
+    x = np.clip(x0 - v0 / slope, 0.0, top)
+    for _ in range(_SECANT_STEPS):
+        if (np.abs(v0) <= tau).all():
+            break
         v = _kinematics(cfg, k_p, photons, extraordinary, x)[2]
-        x0, v0, x = x, v, np.clip(np.where(v == v0, x, x - v * (x - x0) / (v - v0)), a, b)
-    probes = np.clip(x + np.multiply.outer([-4.0, 4.0], tau / slope), a, b)
+        slope = np.where(v == v0, slope, (v - v0) / (x - x0))
+        x0, v0, x = x, v, np.where(np.abs(v) <= tau, x, np.clip(x - v / slope, 0.0, top))
+    probes = np.clip(x + np.multiply.outer([-4.0, 4.0], tau / slope), 0.0, top)
     v = _kinematics(cfg, k_p, photons, extraordinary, probes)[2]
-    below[rows] = np.where(v[0] < -tau, probes[0], -np.inf)
-    above[rows] = np.where(v[1] > tau, probes[1], np.inf)
-    return below, above
+    return np.where(v[0] < -tau, probes[0], -np.inf), np.where(v[1] > tau, probes[1], np.inf)
 
 
 def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
@@ -284,10 +277,11 @@ def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: b
 
     A row brackets at the first scan step whose near-end mismatch is zero or
     changes sign by its far end; a NaN up to the bracket's far end, or met
-    while bisecting, leaves it unsolved.  ``_brackets`` finds that step in
-    one of two ways, with the same bits.
+    while bisecting, leaves it unsolved.  Each live row then halves
+    ``[a, b]`` at ``m = 0.5 (a + b)``, keeping the half where
+    ``fa * fm <= 0``, until it is no wider than the tolerance.
 
-    *Certified rows: binary search.*  Over the scan, theta in [0, 10] deg,
+    *Certified rows: sign bounds.*  Over the scan, theta in [0, 10] deg,
     the idler shell mismatch ``v = |k_p - k_s| - n_i f_i`` strictly rises
     when ``no_s f_s < k_p cos 10deg``, the extraordinary photon's
     ``ne < no`` and ``v`` is finite at both scan ends.  As the ellipsoid
@@ -307,49 +301,38 @@ def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: b
       is a sum of two terms >= 0, the second > 0 for theta > 0.
 
     Every sample between the finite ends is finite (the indices are, and
-    each index angle lies between its end values), and neighbouring
-    samples differ by far more than their rounding error (by at least 1e-3
-    against about 1e-12 for a 740.88 THz pump at any cut), so the computed
-    samples rise and change sign at most once.  The scan's bracket is thus
-    fixed by the first sample ``v_j >= 0``, found by bisecting the scan
-    indices in 7 probes: ``v_j > 0`` closes step ``j - 1`` and ``v_j = 0``
-    closes step ``j``, except at ``j = 128``, which has no step after it;
-    ``v_0 > 0`` or ``v_128 < 0`` closes none.
+    each index angle lies between its end values).  The computed mismatch
+    is within ``tau / 2`` of the exact one, as
+    ``tau = 2**-41 (k_p + no_s f_s + no_i f_i)``, whose sum bounds every
+    wave number in ``v``, is thousands of times the rounding error (about
+    1.5 ulp of ``k_p`` against ``np.longdouble``).  So a computed
+    ``v(x-) < -tau`` from ``_sign_bounds`` puts the exact, rising ``v``
+    below ``-tau / 2`` at every angle up to ``x-``, where the computed
+    ``v`` is then negative; likewise it is positive from ``x+`` on.  A row
+    whose bounds lie in one step, ``S_j <= x- < x+ <= S_{j+1}``, has
+    samples negative up to ``v_j`` and ``v_{j+1} > 0``: the scan closes
+    step ``j``.  Its bisection evaluates only midpoints strictly between
+    ``x-`` and ``x+``; one at or below ``x-`` moves ``a`` and one at or
+    above ``x+`` moves ``b``.  Only the signs of ``fa`` and ``fm`` matter,
+    so the row carries ``fa = -1``: rows are certified only for
+    ``k_p >= 2**-450``, where no product of two nonzero mismatches
+    underflows (a small one is an exact difference of wave numbers above
+    ``(1 - cos 10deg) k_p / 2``, so at least 2**-61 ``k_p``).  ``v_0 = 0``
+    closes step 0; ``v_0 > 0`` or ``v_128 <= 0`` closes none.
 
     *Other rows: linear scan.*  Rows the indices do not certify (a
-    positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) take
+    positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) and
+    certified rows whose bounds do not fit in one step take
     ``_SCAN_CHUNK`` trial angles at a time, carrying each row's last
-    mismatch, and stop at their bracket or their first NaN.
-
-    *Bisection.*  Each live row halves ``[a, b]`` at ``m = 0.5 (a + b)``,
-    keeping the half where ``fa * fm <= 0``, until it is no wider than the
-    tolerance.  Only midpoints strictly between the row's ``x-`` and ``x+``
-    from ``_sign_bounds`` (-inf and inf on rows not certified) are
-    evaluated; one at or below ``x-`` moves ``a`` and one at or above ``x+``
-    moves ``b``.  The bits are those of evaluating every midpoint:
-
-    - the computed mismatch is within ``tau / 2`` of the exact one, as
-      ``tau = 2**-41 (k_p + no_s f_s + no_i f_i)``, whose sum bounds every
-      wave number in ``v``, is thousands of times the rounding error (about
-      1.5 ulp of ``k_p`` against ``np.longdouble``).  So a computed
-      ``v(x-) < -tau`` puts the exact, rising ``v`` below ``-tau / 2`` at
-      every ``m <= x-``, where the computed ``v`` is then negative; likewise
-      it is positive at every ``m >= x+``.
-    - a skipped midpoint is never NaN (every sample on the scan is finite).
-      One below ``x-`` leaves an earlier negative ``fa`` in place of its
-      own, and ``fa * fm`` keeps its sign since it cannot underflow: a
-      nonzero mismatch is at least 2**-61 ``k_p`` (a small one is an exact
-      difference of wave numbers above ``(1 - cos 10deg) k_p / 2``), so a
-      product of two is normal for ``k_p >= 2**-450``, the only case where
-      ``_sign_bounds`` gives bounds.
+    mismatch, and stop at their bracket or their first NaN.  Their
+    bisection evaluates every midpoint.
     """
     photons = _photons(cfg, f)
-    step, fa, fb = _brackets(cfg, k_p, photons, extraordinary)
+    step, fa, below, above = _brackets(cfg, k_p, photons, extraordinary)
     live = np.flatnonzero(step >= 0)
-    photons, step, fa, fb = photons[:, live], step[live], fa[live], fb[live]
+    photons, step, fa, below, above = (x[..., live] for x in (photons, step, fa, below, above))
     a = _SCAN_ANGLES[step]
     b = np.where(fa == 0.0, a, _SCAN_ANGLES[step + 1])
-    below, above = _sign_bounds(cfg, k_p, photons, extraordinary, a, b, fa, fb)
     ok = np.ones(live.size, dtype=bool)
     while (active := b - a > _BISECTION_TOL_RAD).any():
         m = 0.5 * (a + b)

@@ -414,7 +414,11 @@ KATO_EXTRAORDINARY = [2.3753, 0.01224, 0.01667, 0.01516]
        "sellmeier_extraordinary": KATO_EXTRAORDINARY}, "sellmeier_ordinary must be"),
      ({"sellmeier_ordinary": KATO_ORDINARY, "sellmeier_extraordinary": KATO_EXTRAORDINARY,
        "sellmeier_provenance": 5}, "sellmeier_provenance must be a string"),
-     ({"sellmeier_provenance": "Kato 1986"}, "sellmeier_ordinary must be")],  # no set to name
+     ({"sellmeier_provenance": "Kato 1986"}, "sellmeier_ordinary must be"),  # no set to name
+     # a 401-digit integer: float() raised OverflowError, a traceback and exit 1
+     ({"sellmeier_ordinary": [10**400, 0.01878, 0.01822, 0.01354],
+       "sellmeier_extraordinary": KATO_EXTRAORDINARY},
+      "sellmeier_ordinary must be a finite number within the float range")],
 )
 def test_phasematch_rejects_sellmeier_config_of_the_wrong_json_type(tmp_path, capsys, config,
                                                                       message):
@@ -474,7 +478,10 @@ def test_phasematch_window_too_narrow_for_its_points_exits_before_solving(
       "error: half_width must be positive and below half the float range"),
      # twice this is exactly the largest float, yet the last linspace step still overflows
      (["jsa", "--grid", "16", "--half-width", "8.988465674311579e307"], 2,
-      "error: half_width must be positive and below half the float range")],
+      "error: half_width must be positive and below half the float range"),
+     # l * omega overflows: every amplitude came out 0 and the run exited 0
+     (["jsa", "--grid", "16", "--rde-l", "2", "--rde-omega", "1e308"], 2,
+      "error: the Doppler shift l * omega_rot must be finite")],
 )
 def test_no_numpy_warnings_on_stderr(tmp_path, argv, code, stderr):
     env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1])}

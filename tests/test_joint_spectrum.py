@@ -241,6 +241,8 @@ def test_grid_parameter_validation(pump, pm):
             jsa_grid(pump, pm, None, half_width, 64)
     with pytest.raises(ValueError):
         RdeShift(l=-1, omega_rot=1e12)
+    with pytest.raises(ValueError, match="l \\* omega_rot must be finite"):
+        RdeShift(l=2, omega_rot=1e308)  # each finite, the shift not
 
 
 # ---------------------------------------------------------------------------

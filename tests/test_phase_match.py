@@ -143,6 +143,7 @@ def test_sellmeier_sets_with_a_real_index_load():
         (2.3753, 0.01224, 0.01667, math.inf),
         (0.5, 0.01224, 0.01667, 0.5),  # n^2 < 0 at the long end of the window
         (-2.05, 1.0, 0.0, -1.0),  # n^2 > 0 at both ends, -0.05 at lam = 1 um
+        (1e308, 1e308, 0.0156, 0.0),  # n^2 overflows: no phase matching could be solved
     ],
 )
 def test_sellmeier_set_without_a_real_index_rejected(extraordinary):
@@ -284,7 +285,7 @@ def test_chunked_scan_is_bit_identical_to_the_whole_scan(monkeypatch, chunk):
        sellmeier=st.sampled_from([BBO_EIMERL_1987, SellmeierSet(*KATO_1986, provenance="Kato"),
                                   POSITIVE_UNIAXIAL]))
 def test_property_solve_is_bit_identical_to_the_whole_scan(cut, ends, sellmeier):
-    # certified rows take the binary search, the rest the chunked scan: both give the same bits
+    # certified rows take their sign bounds, the rest the chunked scan: both give the same bits
     cfg = CrystalConfig(cut, PUMP_THZ, sellmeier)
     freqs = phase_match.frequency_grid(*ends, 41)
     for ray in ("ordinary", "extraordinary"):
@@ -328,19 +329,54 @@ def test_brackets_follow_the_scans_exact_zero_rules(monkeypatch, certified, extr
     # no < ne on both photons certifies no row, so the scan must apply the same rules
     ne = 1.5 if certified else 2.5
     photons = np.stack([rows, *np.full((2, rows.size), 2.0), *np.full((2, rows.size), ne)])
-    step, fa, fb = phase_match._brackets(config(45.0), 1e3, photons, extraordinary)
+    with np.errstate(all="ignore"):  # as in _solve: the stand-in's secant divides 0 by 0
+        step, fa, below, above = phase_match._brackets(config(45.0), 1e3, photons, extraordinary)
     assert step.tolist() == list(steps)
     closed = step >= 0
-    assert fa[closed].tolist() == [v for v in near if v is not None]
-    # the far end is given only where a certified step changes sign: v_{j+1} = v_j + 1
-    signed = closed & (fa < 0.0) if certified else np.zeros_like(closed)
-    assert fb[signed].tolist() == (fa[signed] + 1.0).tolist()
-    assert np.isnan(fb[~signed]).all()
+    # the stand-in rises by a jump mid-step: certified sign bounds hold the jump
+    # inside its step and mark the row with fa = -1; the other rows keep the scan's
+    known = np.isfinite(below)
+    assert known.tolist() == [certified and v == -0.5 for v in near]
+    assert np.isfinite(above[known]).all() and (below[~known] == -math.inf).all()
+    assert (above[~known] == math.inf).all()
+    assert (phase_match._SCAN_ANGLES[step[known]] <= below[known]).all()
+    assert (above[known] <= phase_match._SCAN_ANGLES[step[known] + 1]).all()
+    assert fa[closed].tolist() == [-1.0 if k else v
+                                   for k, v in zip(known, near) if v is not None]
+
+
+def _linear_kinematics(roots):
+    """A stand-in for ``_kinematics``: row r's mismatch is ``theta - roots[r]``, for row r at f = r."""
+    def kinematics(cfg, k_p, photons, extraordinary, theta_s):
+        v = theta_s - np.asarray(roots)[photons[0].astype(int)]
+        return np.ones_like(v), np.zeros_like(v), v
+    return kinematics
+
+
+def test_certified_rows_scan_linearly_unless_their_sign_bounds_fit_one_step(monkeypatch):
+    # a root on scan angle 37 puts x- and x+ either side of it: the linear scan
+    # closes step 37 with fa = 0.  A root mid-step 37 gives bounds inside it.
+    # A root 1e-14 above 0 deg puts the clipped x- probe at 0, reading -1e-14,
+    # inside -tau: no bound, so the linear scan closes step 0 with its v_0.
+    angles = phase_match._SCAN_ANGLES
+    roots = [angles[37], 0.5 * (angles[37] + angles[38]), 1e-14]
+    monkeypatch.setattr(phase_match, "_kinematics", _linear_kinematics(roots))
+    rows = np.arange(len(roots), dtype=float)
+    photons = np.stack([rows, *np.full((2, rows.size), 2.0), *np.full((2, rows.size), 1.5)])
+    for extraordinary in (False, True):
+        with np.errstate(all="ignore"):
+            step, fa, below, above = phase_match._brackets(config(45.0), 1e3, photons,
+                                                           extraordinary)
+        assert step.tolist() == [37, 37, 0]
+        assert fa.tolist() == [0.0, -1.0, -1e-14]
+        assert below[[0, 2]].tolist() == [-math.inf] * 2
+        assert above[[0, 2]].tolist() == [math.inf] * 2
+        assert angles[37] < below[1] < roots[1] < above[1] < angles[38]
 
 
 def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
-    # at cut 41.54 deg every Eimerl row is certified: two end probes and 7 bisection
-    # probes of per-row vectors, where the chunked scan takes about 75 a row
+    # at cut 41.54 deg every Eimerl row is certified: two end probes, at most 7
+    # secant steps and two sign probes, where the chunked scan takes about 75 a row
     shapes = []  # of each mismatch array evaluated while finding brackets
     kinematics, brackets = phase_match._kinematics, phase_match._brackets
 
@@ -361,7 +397,7 @@ def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
     for ray in ("ordinary", "extraordinary"):
         shapes.clear()
         phase_match._solve(config(41.54), freqs, ray)
-        assert all(len(shape) == 1 or shape[1] == 2 for shape in shapes), shapes
+        assert all(len(shape) == 1 or 2 in shape for shape in shapes), shapes
         assert sum(math.prod(shape) for shape in shapes) <= 12 * 801
         shapes.clear()
         phase_match._solve(CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL), freqs, ray)
@@ -369,22 +405,22 @@ def test_certified_rows_take_at_most_12_scan_stage_evaluations(monkeypatch):
 
 
 def test_sign_bounds_certify_only_probes_beyond_tau(monkeypatch):
-    # a stand-in mismatch theta - 0.0137 (slope 1) with tau = 1e-6: the secant
-    # steps reach the root and probes at 4 tau / slope either side read -+4 tau.
-    # A far end overstated 8x makes the probes 8x too close, at -+tau / 2: no bound.
-    # A row without a far end (not certified) gets no bound either.
-    root = 0.0137
+    # a stand-in mismatch theta - 0.0137 (slope 1) with tau = 1e-6: from the
+    # scan's ends the secant reaches the root and probes at 4 tau / slope
+    # either side read -+4 tau.  Ends overstated 8x leave the secant slope 8x
+    # too steep once the first step lands on the root: the probes read -+tau / 2
+    # and get no bound.
+    root, top = 0.0137, phase_match._MAX_INTERNAL_ANGLE_RAD
     monkeypatch.setattr(phase_match, "_SIGN_MARGIN", 1e-6)
     monkeypatch.setattr(phase_match, "_kinematics",
                         lambda cfg, k_p, photons, extraordinary, theta: (None, None, theta - root))
-    a, b = np.full(3, 0.01), np.full(3, 0.02)
-    fa, fb = a - root, np.array([b[0] - root, 8.0 * (b[1] - a[1]) + a[1] - root, np.nan])
-    photons = np.stack([np.ones(3), *np.zeros((4, 3))])  # tau = _SIGN_MARGIN * k_p
-    with np.errstate(all="ignore"):  # as in _solve: a converged secant step divides 0 by 0
-        below, above = phase_match._sign_bounds(config(45.0), 1.0, photons, False, a, b, fa, fb)
+    v_lo, v_hi = np.array([-root, -8.0 * root]), np.array([top - root, 8.0 * (top - root)])
+    photons = np.stack([np.ones(2), *np.zeros((4, 2))])  # tau = _SIGN_MARGIN * k_p
+    with np.errstate(all="ignore"):  # as in _solve
+        below, above = phase_match._sign_bounds(config(45.0), 1.0, photons, False, v_lo, v_hi)
     assert below[0] == pytest.approx(root - 4e-6) and above[0] == pytest.approx(root + 4e-6)
     assert below[0] - root < -1e-6 and above[0] - root > 1e-6
-    assert below[1:].tolist() == [-math.inf] * 2 and above[1:].tolist() == [math.inf] * 2
+    assert below[1] == -math.inf and above[1] == math.inf
 
 
 def _bisection_stage_counts(monkeypatch):
@@ -412,26 +448,30 @@ def _bisection_stage_counts(monkeypatch):
     return counts
 
 
-def test_certified_rows_take_at_most_8_bisection_stage_evaluations(monkeypatch):
-    # two secant evaluations, two probes, the midpoints between the probes and
-    # the final angle; evaluating every midpoint took 24 and the final angle 1
+def test_certified_rows_take_at_most_4_bisection_stage_evaluations(monkeypatch):
+    # the midpoints between the sign bounds and the final angle; evaluating
+    # every midpoint took 24 and the final angle 1
     counts = _bisection_stage_counts(monkeypatch)
     freqs = phase_match.frequency_grid(*WINDOW, 801)
     for ray in ("ordinary", "extraordinary"):
         counts.clear()
         solved = np.isfinite(phase_match._solve(config(41.54), freqs, ray)[2])
         assert set(counts) == set(freqs[solved].tolist())  # here every bracketed row solves
-        assert max(counts.values()) <= 8, ray
+        assert max(counts.values()) <= 4, ray
 
 
-@pytest.mark.parametrize("uncertified", ["positive uniaxial", "no probe certifies"])
+@pytest.mark.parametrize("uncertified",
+                         ["positive uniaxial", "no probe certifies", "no secant steps"])
 def test_rows_without_known_signs_evaluate_every_midpoint(monkeypatch, uncertified):
     counts = _bisection_stage_counts(monkeypatch)
+    cfg = config(41.54)
     if uncertified == "positive uniaxial":
-        cfg, extra = CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL), 0
-    else:  # tau as large as the wave numbers: no mismatch in a step lies beyond it
+        cfg = CrystalConfig(41.54, PUMP_THZ, POSITIVE_UNIAXIAL)
+    elif uncertified == "no probe certifies":
+        # tau as large as the wave numbers: no mismatch on the scan lies beyond it
         monkeypatch.setattr(phase_match, "_SIGN_MARGIN", 1.0)
-        cfg, extra = config(41.54), 4  # the secant evaluations and probes still run
+    else:  # probes about the scan's linear interpolant: both read one sign
+        monkeypatch.setattr(phase_match, "_SECANT_STEPS", 0)
     freqs = phase_match.frequency_grid(*WINDOW, 801)
     for ray in ("ordinary", "extraordinary"):
         counts.clear()
@@ -439,7 +479,24 @@ def test_rows_without_known_signs_evaluate_every_midpoint(monkeypatch, uncertifi
         assert np.array_equal(got, block_phase_match_reference.solve(cfg, freqs, ray),
                               equal_nan=True), ray
         # 24 halvings take a scan step below the bisection tolerance, then the final angle
-        assert len(counts) > 400 and set(counts.values()) == {extra + 25}, ray
+        assert len(counts) > 400 and set(counts.values()) == {25}, ray
+
+
+def test_wave_numbers_near_underflow_solve_as_the_whole_scan():
+    # n^2 scaled by 1e-308 puts k_p near 1e-151: there a product of two small
+    # mismatches can underflow to 0, so only the signs of fa and fm no longer
+    # decide the bisection and the rows must not be certified
+    tiny = SellmeierSet(*((1e-308 * a, 1e-308 * b, c, 1e-308 * d) for a, b, c, d in
+                          (BBO_EIMERL_1987.ordinary, BBO_EIMERL_1987.extraordinary)),
+                        provenance="Eimerl, n^2 x 1e-308")
+    freqs = phase_match.frequency_grid(*WINDOW, 101)
+    for cut in (41.54, 47.58):
+        cfg = CrystalConfig(cut, PUMP_THZ, tiny)
+        for ray in ("ordinary", "extraordinary"):
+            got = phase_match._solve(cfg, freqs, ray)
+            assert np.isfinite(got[2]).sum() > 50
+            assert np.array_equal(got, block_phase_match_reference.solve(cfg, freqs, ray),
+                                  equal_nan=True), (cut, ray)
 
 
 _LONGDOUBLE_PRECISE = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
