@@ -32,14 +32,9 @@ WAVELENGTH_WINDOW_UM = (0.3, 1.5)
 # Internal emission angles are searched over [0, 10] degrees; down-conversion
 # cones in this geometry stay well inside that bracket.
 _MAX_INTERNAL_ANGLE_RAD = math.radians(10.0)
-_BISECTION_TOL_RAD = 1e-10
 _COARSE_SCAN_STEPS = 128
 _SCAN_ANGLES = _MAX_INTERNAL_ANGLE_RAD * np.arange(_COARSE_SCAN_STEPS + 1) / _COARSE_SCAN_STEPS
 _SCAN_CHUNK = 16  # trial angles per scan step; a row stops scanning at its bracket
-# tau = _SIGN_MARGIN (k_p + no_s f_s + no_i f_i): tau / 2 exceeds a certified
-# row's mismatch rounding error thousands of times over (see _solve_block)
-_SIGN_MARGIN = 2.0**-41
-_SECANT_STEPS = 12  # at most, before a certified row's sign probes
 # Frequencies solved per step: bounds the scan's memory at any number of points.
 _BLOCK_ROWS = 1024
 
@@ -195,33 +190,22 @@ def _kinematics(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, th
 
 
 def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
-    """Each row's bracketing scan step (-1: none), near-end mismatch and sign bounds.
+    """Rows ``a, b, fa, fb``: each row's bracket and its mismatches, NaN where it has none.
 
-    A row whose step comes from its sign bounds ``x-``, ``x+`` carries them
-    and the near-end mismatch -1; every other row carries -inf and inf.
     See ``_solve_block``.
     """
     f_signal, no_s, no_i, ne_s, ne_i = photons
-    step, fa = np.full(f_signal.size, -1), np.empty(f_signal.size)
-    below, above = np.full(f_signal.size, -np.inf), np.full(f_signal.size, np.inf)
+    out = np.full((4, f_signal.size), np.nan)
     scan = cfg.pump_frequency_thz - f_signal > 0.0  # rows left to the linear scan
     sure = scan & (no_s * f_signal < k_p * math.cos(_MAX_INTERNAL_ANGLE_RAD))
-    sure &= ((ne_s < no_s) if extraordinary else (ne_i < no_i)) & (k_p >= 2.0**-450)
-    rows = np.flatnonzero(sure)
-    v = _kinematics(cfg, k_p, photons[:, rows, None], extraordinary, _SCAN_ANGLES[[0, -1]])[2]
+    sure &= (ne_s < no_s) if extraordinary else (ne_i < no_i)
+    rows, ends = np.flatnonzero(sure), _SCAN_ANGLES[[0, -1]]
+    v = _kinematics(cfg, k_p, photons[:, rows, None], extraordinary, ends)[2]
     finite = np.isfinite(v).all(axis=1)
-    rows, (v_lo, v_hi) = rows[finite], v[finite].T
+    rows, v = rows[finite], v[finite]
     scan[rows] = False
-    zero = v_lo == 0.0
-    step[rows[zero]], fa[rows[zero]] = 0, v_lo[zero]
-    sign = (v_lo < 0.0) & (v_hi > 0.0)
-    rows = rows[sign]
-    x_lo, x_hi = _sign_bounds(cfg, k_p, photons[:, rows], extraordinary, v_lo[sign], v_hi[sign])
-    j = np.searchsorted(_SCAN_ANGLES, x_lo, side="right") - 1  # the last angle <= x-
-    known = (j >= 0) & (np.searchsorted(_SCAN_ANGLES, x_hi) == j + 1)  # and x+ <= the next
-    scan[rows[~known]] = True
-    rows = rows[known]
-    step[rows], fa[rows], below[rows], above[rows] = j[known], -1.0, x_lo[known], x_hi[known]
+    closed = (v[:, 0] == 0.0) | (v[:, 0] < 0.0) & (v[:, 1] > 0.0)  # v(0) = 0 is a root
+    out[:2, rows[closed]], out[2:, rows[closed]] = ends[:, None], v[closed].T
 
     rows = np.flatnonzero(scan)  # the rows not certified scan linearly
     last = np.full(rows.size, np.nan)  # a NaN never closes, so angle 0 opens no bracket
@@ -232,62 +216,28 @@ def _brackets(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool):
                         _SCAN_ANGLES[lo : lo + _SCAN_CHUNK])[2]
         prev = np.concatenate([last[:, None], v[:, :-1]], axis=1)
         nan = np.isnan(v)
-        stop = nan | (prev == 0.0) | (prev * v < 0.0)
+        stop = nan | (prev == 0.0) | (np.sign(prev) * np.sign(v) < 0.0)
         col = stop.argmax(axis=1)
         at = np.arange(rows.size), col
         done = stop[at]
         closed = done & ~nan[at]
-        step[rows[closed]] = lo - 1 + col[closed]
-        fa[rows[closed]] = prev[at][closed]
+        far = lo + col[closed]
+        out[:, rows[closed]] = (_SCAN_ANGLES[far - 1], _SCAN_ANGLES[far],
+                                prev[at][closed], v[at][closed])
         rows, last = rows[~done], v[~done, -1]
-    return step, fa, below, above
-
-
-def _sign_bounds(cfg: CrystalConfig, k_p: float, photons, extraordinary: bool, v_lo, v_hi):
-    """Angles ``x-``, ``x+`` on the scan beyond which each row's mismatch sign is known.
-
-    For rows with ``v_lo = v(0) < 0 < v(10deg) = v_hi``: secant steps from
-    ``(10deg, v_hi)`` with the scan's secant slope, each clipped to the
-    scan and keeping the last slope wherever ``v`` did not change, run until
-    every row reads ``|v| <= tau`` or ``_SECANT_STEPS`` are taken; a row
-    that reads it stays put, so rounding noise never refits its slope.
-    Probes at ``h = 4 tau / slope`` either side of the estimate are clipped
-    to the scan too.  A probe whose computed mismatch is below ``-tau`` is
-    ``x-``, one above ``tau`` is ``x+``; every other bound is -inf or inf.
-    ``_solve_block`` says why these decide signs.
-    """
-    f_signal, no_s, no_i = photons[:3]
-    tau = _SIGN_MARGIN * (k_p + no_s * f_signal + no_i * (cfg.pump_frequency_thz - f_signal))
-    top = _MAX_INTERNAL_ANGLE_RAD
-    x0, v0, slope = top, v_hi, (v_hi - v_lo) / top
-    x = np.clip(x0 - v0 / slope, 0.0, top)
-    for _ in range(_SECANT_STEPS):
-        if (np.abs(v0) <= tau).all():
-            break
-        v = _kinematics(cfg, k_p, photons, extraordinary, x)[2]
-        slope = np.where(v == v0, slope, (v - v0) / (x - x0))
-        x0, v0, x = x, v, np.where(np.abs(v) <= tau, x, np.clip(x - v / slope, 0.0, top))
-    probes = np.clip(x + np.multiply.outer([-4.0, 4.0], tau / slope), 0.0, top)
-    v = _kinematics(cfg, k_p, photons, extraordinary, probes)[2]
-    return np.where(v[0] < -tau, probes[0], -np.inf), np.where(v[1] > tau, probes[1], np.inf)
+    return out
 
 
 def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: bool):
     """Signal angle, idler angle (rad) and outside angle (deg) per frequency, NaN if unsolved.
 
-    A row brackets at the first scan step whose near-end mismatch is zero or
-    changes sign by its far end; a NaN up to the bracket's far end, or met
-    while bisecting, leaves it unsolved.  Each live row then halves
-    ``[a, b]`` at ``m = 0.5 (a + b)``, keeping the half where
-    ``fa * fm <= 0``, until it is no wider than the tolerance.
-
-    *Certified rows: sign bounds.*  Over the scan, theta in [0, 10] deg,
-    the idler shell mismatch ``v = |k_p - k_s| - n_i f_i`` strictly rises
-    when ``no_s f_s < k_p cos 10deg``, the extraordinary photon's
-    ``ne < no`` and ``v`` is finite at both scan ends.  As the ellipsoid
-    index is NaN past 90 deg, a finite ``v`` at 10 deg puts every
-    extraordinary index angle, which rises over the scan, at or below
-    90 deg, where the index falls:
+    *Certified rows.*  Over the scan, theta in [0, 10] deg, the idler shell
+    mismatch ``v = |k_p - k_s| - n_i f_i`` strictly rises when
+    ``no_s f_s < k_p cos 10deg``, the extraordinary photon's ``ne < no``
+    and ``v`` is finite at both scan ends.  As the ellipsoid index is NaN
+    past 90 deg, a finite ``v`` at 10 deg puts every extraordinary index
+    angle, which rises over the scan, at or below 90 deg, where the index
+    falls:
 
     - ordinary signal: ``k_s = no_s f_s`` is fixed and
       ``|k_p - k_s|^2 = k_p^2 + k_s^2 - 2 k_p k_s cos theta`` rises.  The
@@ -300,53 +250,56 @@ def _solve_block(cfg: CrystalConfig, k_p: float, f: np.ndarray, extraordinary: b
       ``d|k_p - k_s|^2/dtheta = 2 k_s' (k_s - k_p cos theta) + 2 k_p k_s sin theta``
       is a sum of two terms >= 0, the second > 0 for theta > 0.
 
-    Every sample between the finite ends is finite (the indices are, and
-    each index angle lies between its end values).  The computed mismatch
-    is within ``tau / 2`` of the exact one, as
-    ``tau = 2**-41 (k_p + no_s f_s + no_i f_i)``, whose sum bounds every
-    wave number in ``v``, is thousands of times the rounding error (about
-    1.5 ulp of ``k_p`` against ``np.longdouble``).  So a computed
-    ``v(x-) < -tau`` from ``_sign_bounds`` puts the exact, rising ``v``
-    below ``-tau / 2`` at every angle up to ``x-``, where the computed
-    ``v`` is then negative; likewise it is positive from ``x+`` on.  A row
-    whose bounds lie in one step, ``S_j <= x- < x+ <= S_{j+1}``, has
-    samples negative up to ``v_j`` and ``v_{j+1} > 0``: the scan closes
-    step ``j``.  Its bisection evaluates only midpoints strictly between
-    ``x-`` and ``x+``; one at or below ``x-`` moves ``a`` and one at or
-    above ``x+`` moves ``b``.  Only the signs of ``fa`` and ``fm`` matter,
-    so the row carries ``fa = -1``: rows are certified only for
-    ``k_p >= 2**-450``, where no product of two nonzero mismatches
-    underflows (a small one is an exact difference of wave numbers above
-    ``(1 - cos 10deg) k_p / 2``, so at least 2**-61 ``k_p``).  ``v_0 = 0``
-    closes step 0; ``v_0 > 0`` or ``v_128 <= 0`` closes none.
+    Every angle between the finite ends gives a finite ``v`` (the indices
+    are finite, and each index angle lies between its end values).  So the
+    row has at most one root, and its bracket is the whole scan from its two
+    end probes when ``v(0) < 0 < v(10deg)``; ``v(0) = 0`` is a root at 0,
+    and any other row has none.
 
     *Other rows: linear scan.*  Rows the indices do not certify (a
-    positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) and
-    certified rows whose bounds do not fit in one step take
+    positive-uniaxial set, a cut near 90 deg, a NaN at a scan end) take
     ``_SCAN_CHUNK`` trial angles at a time, carrying each row's last
-    mismatch, and stop at their bracket or their first NaN.  Their
-    bisection evaluates every midpoint.
+    mismatch.  A row brackets at the first scan step whose near-end
+    mismatch is zero or changes sign by its far end; a NaN up to the far
+    end leaves it unsolved.
+
+    *Refinement.*  Every bracket is refined at once by the Illinois
+    variant of regula falsi (Dowell & Jarratt, BIT 11, 168, 1971): the
+    secant root of the bracket, or its midpoint where that is not strictly
+    inside, replaces the end whose mismatch has its sign, and an end kept
+    twice running has its mismatch halved.  Signs are compared and
+    mismatches never multiplied, so no product can underflow.  A row
+    stops when ``|v| <= 2**-53 (k_p + no_s f_s + no_i f_i)``, a sum that
+    bounds every wave number in ``v``, when its bracket is at most 2 ulp
+    wide, or at a NaN, which leaves it unsolved.  It keeps its iterate of
+    least ``|v|``.
     """
     photons = _photons(cfg, f)
-    step, fa, below, above = _brackets(cfg, k_p, photons, extraordinary)
-    live = np.flatnonzero(step >= 0)
-    photons, step, fa, below, above = (x[..., live] for x in (photons, step, fa, below, above))
-    a = _SCAN_ANGLES[step]
-    b = np.where(fa == 0.0, a, _SCAN_ANGLES[step + 1])
+    a, b, fa, fb = _brackets(cfg, k_p, photons, extraordinary)
+    live = np.flatnonzero(~np.isnan(a))
+    photons, a, b, fa, fb = (x[..., live] for x in (photons, a, b, fa, fb))
+    f_signal, no_s, no_i = photons[:3]
+    tol = 2.0**-53 * (k_p + no_s * f_signal + no_i * (cfg.pump_frequency_thz - f_signal))
+    near = np.abs(fa) <= np.abs(fb)  # the latest iterate (x1, f1) starts at the nearer end
+    x0, x1, f0, f1 = (np.where(near, p, q) for p, q in ((b, a), (a, b), (fb, fa), (fa, fb)))
+    theta_s, v = x1.copy(), f1.copy()  # each row's iterate of least |v|
     ok = np.ones(live.size, dtype=bool)
-    while (active := b - a > _BISECTION_TOL_RAD).any():
-        m = 0.5 * (a + b)
-        lower = m >= above  # the mismatch at m is known positive: b moves
-        rows = np.flatnonzero(active & (below < m) & ~lower)  # the signs not known
-        if rows.size:
-            rows = slice(None) if rows.size == m.size else rows  # all rows: views, no copies
-            fm = _kinematics(cfg, k_p, photons[:, rows], extraordinary, m[rows])[2]
-            ok[rows] &= ~np.isnan(fm)
-            lower[rows] = fa[rows] * fm <= 0.0
-            fa[rows] = np.where(lower[rows], fa[rows], fm)
-        b = np.where(active & lower, m, b)
-        a = np.where(active & ~lower, m, a)
-    theta_s = 0.5 * (a + b)
+    rows = np.arange(live.size)
+    while True:
+        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+        go = (np.abs(f1) > tol[rows]) & (hi - lo > 2.0 * np.spacing(hi))  # a NaN stops too
+        rows, x0, x1, f0, f1, lo, hi = (x[go] for x in (rows, x0, x1, f0, f1, lo, hi))
+        if not rows.size:
+            break
+        t = x1 + (x0 - x1) * (f1 / (f1 - f0))
+        t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+        ft = _kinematics(cfg, k_p, photons[:, rows], extraordinary, t)[2]
+        ok[rows] &= ~np.isnan(ft)
+        better = np.abs(ft) < np.abs(v[rows])
+        theta_s[rows[better]], v[rows[better]] = t[better], ft[better]
+        flip = (ft < 0.0) != (f1 < 0.0)  # the root lies between x1 and t: x1 is kept
+        x0, f0 = np.where(flip, x1, x0), np.where(flip, f1, 0.5 * f0)
+        x1, f1 = t, ft
     n_s, theta_i, _ = _kinematics(cfg, k_p, photons, extraordinary, theta_s)
     sin_out = n_s * np.sin(theta_s)
     ok &= np.abs(sin_out) <= 1.0  # total internal reflection at the exit face; NaN fails too

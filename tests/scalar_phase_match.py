@@ -1,10 +1,12 @@
 """Scalar reference for the emission-angle solve: one frequency at a time.
 
-A plain-Python statement of the rule ``hombeat.phase_match`` applies to
+A plain-Python statement of the problem ``hombeat.phase_match`` solves on
 whole arrays: a 128-step scan of internal angles in [0, 10] degrees for the
-first sign change of the idler shell mismatch, then bisection to 1e-10 rad.
-A wavelength or angle the dispersion data does not cover raises, which
-leaves the frequency unsolved.  Used only to check the array solve.
+first sign change of the idler shell mismatch, then bisection by comparing
+signs until no float lies between the ends, returning the end of least
+``|mismatch|``: the float64 root, up to the mismatch's own rounding.  A
+wavelength or angle the dispersion data does not cover raises, which leaves
+the frequency unsolved.  Used only to check the array solve.
 """
 
 import math
@@ -12,7 +14,6 @@ import math
 from hombeat.phase_match import SPEED_OF_LIGHT_UM_THZ, WAVELENGTH_WINDOW_UM
 
 MAX_ANGLE_RAD = math.radians(10.0)
-TOL_RAD = 1e-10
 STEPS = 128
 
 
@@ -69,25 +70,20 @@ def solve(cfg, f, ray):
         for j in range(1, STEPS + 1):
             t = MAX_ANGLE_RAD * j / STEPS
             v = mismatch(cfg, f, extraordinary, t)
-            if prev_v == 0.0:
-                bracket = (prev_t, prev_t)
-                break
-            if prev_v * v < 0.0:
-                bracket = (prev_t, t)
+            if prev_v == 0.0 or prev_v < 0.0 < v or v < 0.0 < prev_v:
+                bracket = (prev_t, t, prev_v, v)
                 break
             prev_t, prev_v = t, v
         if bracket is None:
             return None
-        a, b = bracket
-        fa = mismatch(cfg, f, extraordinary, a)
-        while b - a > TOL_RAD:
-            m = 0.5 * (a + b)
+        a, b, fa, fb = bracket
+        while fa != 0.0 and fb != 0.0 and a < (m := 0.5 * (a + b)) < b:
             fm = mismatch(cfg, f, extraordinary, m)
-            if fa * fm <= 0.0:
-                b = m
-            else:
+            if (fm < 0.0) == (fa < 0.0):
                 a, fa = m, fm
-        theta = 0.5 * (a + b)
+            else:
+                b, fb = m, fm
+        theta = a if abs(fa) <= abs(fb) else b
         n_s, trans, longi = idler_wavevector(cfg, f, extraordinary, theta)
         sin_out = n_s * math.sin(theta)
         if abs(sin_out) > 1.0:
