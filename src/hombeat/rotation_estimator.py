@@ -41,7 +41,7 @@ _MIN_VISIBILITY = 0.01
 # Beat spectrum: bins are _OVERSAMPLE times finer than the trace resolves.  On
 # a non-uniform grid each sample is spread onto 2 * _SPREAD_HALF_WIDTH points
 # of the FFT grid, _BLOCK_ROWS samples per step, which bounds the memory.
-_OVERSAMPLE = 8
+_OVERSAMPLE = 2
 _SPREAD_HALF_WIDTH = 12
 _BLOCK_ROWS = 4096
 
@@ -257,7 +257,7 @@ def _fft_length(n: int) -> int:
 
 
 def _spread(x: np.ndarray, c: np.ndarray, m_grid: int, t: float) -> np.ndarray:
-    """Samples ``c`` at ascending ``x`` in [0, pi) convolved with ``exp(-x^2 / (4 t))``.
+    """Samples ``c`` at ascending ``x`` in [0, pi] convolved with ``exp(-x^2 / (4 t))``.
 
     The periodic convolution is sampled on ``m_grid`` points over [0, 2 pi);
     each sample reaches the ``2 * _SPREAD_HALF_WIDTH`` points nearest to it.
@@ -291,7 +291,7 @@ def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
     at or above ``_OVERSAMPLE * n`` (:func:`_fft_length`), which numpy
     transforms fast whatever n factors into.  Non-uniform grids use a
     type-1 non-uniform FFT by Gaussian gridding (Greengard & Lee, SIAM Rev.
-    46, 443 (2004)) on ``_OVERSAMPLE * n // 2 + 1`` bins spaced
+    46, 443 (2004)) on ``_OVERSAMPLE * n // 2 | 1`` bins, an odd count, spaced
     ``2 pi / (_OVERSAMPLE * span)`` from zero; it matches the direct transform
     to about 1e-12 of the spectral peak.
     """
@@ -307,9 +307,9 @@ def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
         return freqs, spectrum
     span = float(tau[-1] - tau[0])
     df = 2.0 * math.pi / (_OVERSAMPLE * span)
-    n_freq = _OVERSAMPLE * n // 2 + 1
+    n_freq = _OVERSAMPLE * n // 2 | 1  # odd, so that the modes centre on zero
     half = n_freq // 2
-    # bin half + j of the samples at x = df (tau - tau_0), in [0, pi/4], is mode j
+    # bin half + j of the samples at x = df (tau - tau_0), in [0, pi], is mode j
     # of the samples times exp(-i half x); with the modes centred on zero the
     # Gaussian's deconvolution factor exp(t j^2) stays below about e^pi
     x = df * (tau - tau[0])
