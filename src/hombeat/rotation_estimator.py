@@ -38,10 +38,12 @@ _MIN_OSCILLATION_PEAKS = 5
 _MIN_DIP_DEPTH = 0.05
 _MIN_VISIBILITY = 0.01
 
-# Beat spectrum: bins are _OVERSAMPLE times finer than the trace resolves.  On
-# a non-uniform grid each sample is spread onto 2 * _SPREAD_HALF_WIDTH points
-# of the FFT grid, _BLOCK_ROWS samples per step, which bounds the memory.
+# Beat spectrum: bins are _OVERSAMPLE times finer than the trace resolves, and
+# _FINE_OVERSAMPLE times where the resolution decision depends on where they
+# fall.  On a non-uniform grid each sample is spread onto 2 * _SPREAD_HALF_WIDTH
+# points of the FFT grid, _BLOCK_ROWS samples per step, which bounds the memory.
 _OVERSAMPLE = 2
+_FINE_OVERSAMPLE = 8
 _SPREAD_HALF_WIDTH = 12
 _BLOCK_ROWS = 4096
 
@@ -284,15 +286,15 @@ def _spread(x: np.ndarray, c: np.ndarray, m_grid: int, t: float) -> np.ndarray:
     return grid
 
 
-def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
-    """Hann-windowed magnitude spectrum on a fine angular-frequency grid.
+def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray, oversample: int = _OVERSAMPLE):
+    """Hann-windowed magnitude spectrum on an angular-frequency grid ``oversample`` times fine.
 
     Uniform delay grids use an ``rfft`` zero-padded to the 5-smooth length
-    at or above ``_OVERSAMPLE * n`` (:func:`_fft_length`), which numpy
+    at or above ``oversample * n`` (:func:`_fft_length`), which numpy
     transforms fast whatever n factors into.  Non-uniform grids use a
     type-1 non-uniform FFT by Gaussian gridding (Greengard & Lee, SIAM Rev.
-    46, 443 (2004)) on ``_OVERSAMPLE * n // 2 | 1`` bins, an odd count, spaced
-    ``2 pi / (_OVERSAMPLE * span)`` from zero; it matches the direct transform
+    46, 443 (2004)) on ``oversample * n // 2 | 1`` bins, an odd count, spaced
+    ``2 pi / (oversample * span)`` from zero; it matches the direct transform
     to about 1e-12 of the spectral peak.
     """
     n = tau.size
@@ -301,19 +303,21 @@ def _magnitude_spectrum(tau: np.ndarray, y: np.ndarray):
     dt = np.diff(tau)
     uniform = np.allclose(dt, dt.mean(), rtol=1e-9, atol=0.0)
     if uniform:
-        n_pad = _fft_length(_OVERSAMPLE * n)
+        n_pad = _fft_length(oversample * n)
         spectrum = np.abs(np.fft.rfft(yw, n=n_pad))
         freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=float(dt.mean()))
         return freqs, spectrum
     span = float(tau[-1] - tau[0])
-    df = 2.0 * math.pi / (_OVERSAMPLE * span)
-    n_freq = _OVERSAMPLE * n // 2 | 1  # odd, so that the modes centre on zero
+    df = 2.0 * math.pi / (oversample * span)
+    n_freq = oversample * n // 2 | 1  # odd, so that the modes centre on zero
     half = n_freq // 2
-    # bin half + j of the samples at x = df (tau - tau_0), in [0, pi], is mode j
+    # bin half + j of the samples at x = df (tau - tau_0), in [0, pi] at most, is mode j
     # of the samples times exp(-i half x); with the modes centred on zero the
     # Gaussian's deconvolution factor exp(t j^2) stays below about e^pi
     x = df * (tau - tau[0])
-    m_grid = _fft_length(2 * n_freq)
+    # at least 2 * _SPREAD_HALF_WIDTH + 2 points, so that what a sample at x = pi
+    # spreads fits _spread's buffer
+    m_grid = _fft_length(max(2 * n_freq, 2 * _SPREAD_HALF_WIDTH + 2))
     r = m_grid / n_freq
     t = math.pi * _SPREAD_HALF_WIDTH / (n_freq**2 * r * (r - 0.5))
     modes = np.fft.fft(_spread(x, yw * np.exp(-1j * half * x), m_grid, t))
@@ -330,7 +334,8 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     ``1/2 - p``, restricted to delays within 2.5 envelope times (where the
     amplification of noise stays bounded), and transformed; the spectral
     peak is refined by quadratic interpolation on the log magnitude of the
-    three bins around it.  Zero is returned, rather than an error, when the
+    three bins around it, on bins four times finer when it is not clear on
+    the coarse ones (:func:`_spectral_peak`).  Zero is returned, rather than an error, when the
     peak is indistinguishable from the zero-frequency lobe or the implied
     beat falls under the resolution threshold.
     """
@@ -351,15 +356,38 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     span = float(tau[-1] - tau[0])
     if span <= 0.0:
         return 0.0
-    freqs, spectrum = _magnitude_spectrum(tau, y)
+    guard = 2.5 * 2.0 * math.pi / span
+    beat, clear = _spectral_peak(*_magnitude_spectrum(tau, y), guard, tau_c_hat)
+    if not clear:
+        # whether a peak near the guard or the threshold is resolved depends on
+        # where the bins fall: decide it on the finer grid
+        beat, _ = _spectral_peak(*_magnitude_spectrum(tau, y, _FINE_OVERSAMPLE), guard, tau_c_hat)
+    if beat * tau_c_hat < BEAT_RESOLUTION_RAD:
+        return 0.0
+    return beat
+
+
+def _spectral_peak(freqs, spectrum, guard, tau_c_hat):
+    """Interpolated frequency of the highest bin at or above ``guard``, and whether it is clear.
+
+    The frequency is 0.0 when no bin reaches the guard or the highest one is
+    under half the spectrum's maximum.  The peak is clear when it is the
+    maximum, at least two bins above the guard, and two bins below it still
+    clear the resolution threshold.  A finer grid then moves the frequency
+    by a fraction of a bin, which the joint fit refines away, but leaves it
+    resolved.  A zero is clear when the spectrum stays far under the half
+    maximum near and above the guard, so that no finer grid reaches it.
+    """
     # the first bin at or above the guard, on the ascending frequencies
-    offset = int(np.searchsorted(freqs, 2.5 * 2.0 * math.pi / span))
+    offset = int(np.searchsorted(freqs, guard))
     top = float(spectrum.max())
     if offset == freqs.size or top <= 0.0:
-        return 0.0
+        return 0.0, False
     k = offset + int(np.argmax(spectrum[offset:]))
     if spectrum[k] < 0.5 * top:
-        return 0.0  # dominant energy sits at low frequency: no resolvable beat
+        # dominant energy sits at low frequency: no resolvable beat, and clearly
+        # none when nothing from two bins under the guard up reaches top / 4
+        return 0.0, bool(spectrum[max(offset - 2, 0) :].max() < 0.25 * top)
     if 1 <= k < freqs.size - 1 and spectrum[k - 1] > 0.0 and spectrum[k + 1] > 0.0:
         a, b, c = np.log(spectrum[k - 1 : k + 2])
         denom = a - 2.0 * b + c
@@ -368,9 +396,9 @@ def extract_beat(trace: NoisyTrace, tau_c_hat: float | None = None) -> float:
     else:
         shift = 0.0
     beat = float(freqs[k] + shift * (freqs[1] - freqs[0]))
-    if beat * tau_c_hat < BEAT_RESOLUTION_RAD:
-        return 0.0
-    return beat
+    clear = (spectrum[k] == top and k >= offset + 2
+             and freqs[k - 2] * tau_c_hat >= BEAT_RESOLUTION_RAD)
+    return beat, bool(clear)
 
 
 def estimate(trace: NoisyTrace) -> EstimateResult:

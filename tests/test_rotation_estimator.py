@@ -210,6 +210,25 @@ def test_non_uniform_spectrum_matches_direct_transform(n, seed, beat, sigma):
     assert np.argmax(spectrum[candidates]) == np.argmax(want[candidates])
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_non_uniform_spectrum_of_a_few_samples_matches_direct_transform(n):
+    # a few samples make a short FFT grid, onto which each sample still spreads 24 points
+    tr = jittered_trace(n, n, 0.01)
+    y = 0.5 - tr.p
+    for oversample in (2, 8):
+        freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y, oversample)
+        want_freqs, want = direct_dft.magnitude_spectrum(tr.tau, y, oversample=oversample)
+        assert np.array_equal(freqs, want_freqs)
+        assert np.max(np.abs(spectrum - want)) <= 1e-10 * want.max()
+
+
+def test_extract_beat_with_an_explicit_envelope_on_a_few_jittered_samples():
+    # an explicit envelope skips fit_envelope's sample count check
+    for n in (8, 9, 11):
+        beat = extract_beat(jittered_trace(n, 4), tau_c_hat=1e-12)
+        assert beat == 0.0 or beat * 1e-12 >= rotation_estimator.BEAT_RESOLUTION_RAD
+
+
 def test_extract_beat_with_the_direct_transform_is_unchanged(monkeypatch):
     traces = [jittered_trace(1201, 123), *(jittered_trace(601, s, 0.01) for s in range(3))]
     beats = [extract_beat(tr) for tr in traces]
@@ -275,45 +294,42 @@ def test_estimate_with_the_5_smooth_spectrum_matches_the_exact_8n_one(monkeypatc
     assert fast.converged and not fast.below_resolution
 
 
-def _seeded_trace(i, low, high):
-    """Trace ``i``, uniform for even i and jittered for odd; tau_c = 1 ps, beat * tau_c in [low, high).
-
-    The beat stays under half the grid's Nyquist rate: above Nyquist a uniform
-    grid samples an alias of the beat exactly, and the fit may land on either.
-    """
+def _seeded_trace(i):
+    """Trace ``i``: uniform for even i, jittered for odd; tau_c 1 ps, beat * tau_c in [0.5, 20)."""
     rng = np.random.default_rng([i, 8])
     n = int(rng.integers(32, 601))
     sigma = (0.0, 0.005, 0.01)[i % 3]
     tau = np.linspace(-1.0, 1.0, n) * rng.uniform(1.5, 4.0) * 1e-12
-    step = float(tau[1] - tau[0])
     if i % 2:
-        tau[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * step
-    beat_tau_c = rng.uniform(low, min(high, 0.5 * math.pi * 1e-12 / step))
+        tau[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * float(tau[1] - tau[0])
+    beat_tau_c = rng.uniform(0.5, 20.0)
     p = coincidence_rde(tau, 1e-12, 1, beat_tau_c / 2.0 * 1e12) + rng.normal(0.0, sigma, n)
     return NoisyTrace(tau=tau, p=p, noise_sigma=sigma)
 
 
 def _estimate_at_8x(monkeypatch, tr):
-    """``estimate`` on the 8x spectrum: exactly 8 n padding, or the direct 8x DFT when jittered."""
+    """``estimate`` with every spectrum 8x fine, as before the 2x grid.
+
+    Uniform grids keep that padding, the 5-smooth length at or above 8 n;
+    jittered ones take the direct 8x transform.
+    """
     dt = np.diff(tr.tau)
     if np.allclose(dt, dt.mean(), rtol=1e-9, atol=0.0):
-        reference = _exact_8n_spectrum
+        spectrum = rotation_estimator._magnitude_spectrum
+
+        def reference(tau, y, oversample=None):
+            return spectrum(tau, y, 8)
     else:
-        def reference(tau, y):
+        def reference(tau, y, oversample=None):
             return direct_dft.magnitude_spectrum(tau, y, oversample=8)
     with monkeypatch.context() as m:
         m.setattr(rotation_estimator, "_magnitude_spectrum", reference)
         return estimate(tr)
 
 
-# beat * tau_c well below and well above the resolution threshold pi; how the
-# band between them is decided depends on the bin spacing (see the xfail below)
-_BELOW_THRESHOLD, _ABOVE_THRESHOLD = (0.5, 2.0), (4.0, 20.0)
-
-
 @pytest.mark.parametrize("i", range(72))
 def test_estimate_at_2x_padding_matches_the_8x_spectrum(monkeypatch, i):
-    tr = _seeded_trace(i, *(_BELOW_THRESHOLD if (i // 6) % 4 == 0 else _ABOVE_THRESHOLD))
+    tr = _seeded_trace(i)
     shipped = estimate(tr)
     reference = _estimate_at_8x(monkeypatch, tr)
     assert ((shipped.converged, shipped.below_resolution)
@@ -323,16 +339,26 @@ def test_estimate_at_2x_padding_matches_the_8x_spectrum(monkeypatch, i):
             assert getattr(shipped, field) == pytest.approx(getattr(reference, field), rel=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: with beat * tau_c near pi the peak "
-                   "sits by the guard bin, and whether its interpolation clears the resolution "
-                   "threshold depends on the bin spacing")
-def test_resolution_decision_near_the_threshold_is_independent_of_the_bin_spacing(monkeypatch):
-    flags = []
-    for i in range(24):
-        tr = _seeded_trace(i, 2.2, 3.5)
-        shipped, reference = estimate(tr), _estimate_at_8x(monkeypatch, tr)
-        flags.append((shipped.below_resolution, reference.below_resolution))
-    assert all(a == b for a, b in flags)
+def test_a_peak_by_the_resolution_threshold_is_decided_on_the_8x_grid(monkeypatch):
+    # beat * tau_c = 3.2 on +-2.5 tau_c: the peak sits by the guard bin, and the
+    # 2x bins alone would report no beat and fit a plain dip at rms 0.12
+    tr = synthesize_trace(cfg(l=1, omega=1.6e12, span=3.5e-12, n=401), 0.0, seed=0)
+    grids = []
+    spectrum = rotation_estimator._magnitude_spectrum
+
+    def counted(tau, y, oversample=2):
+        grids.append(oversample)
+        return spectrum(tau, y, oversample)
+
+    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", counted)
+    fit = estimate(tr)
+    assert not fit.below_resolution and fit.converged
+    assert fit.beat == pytest.approx(3.2e12, rel=1e-9)
+    assert grids == [2, 8]
+    for omega in (2e12, 0.0):  # beat * tau_c = 8, and a plain dip: both clear on the 2x grid
+        grids.clear()
+        extract_beat(synthesize_trace(cfg(omega=omega, span=3.5e-12, n=401), 0.0, seed=0))
+        assert grids == [2]
 
 
 def test_uniform_beat_extraction_memory():
