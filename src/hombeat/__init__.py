@@ -35,8 +35,7 @@ _EXPORTS = {
         "fwhm_bandwidth", "observability", "restricted_density_matrix", "trace", "visibility",
     ),
     "rotation_estimator": (
-        "EnvelopeFit", "EstimateResult", "NoisyTrace", "estimate", "extract_beat",
-        "fit_envelope", "synthesize_trace",
+        "EstimateResult", "NoisyTrace", "estimate", "extract_beat", "synthesize_trace",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -61,9 +61,9 @@ class PhotonLabel:
     def __post_init__(self):
         if self.pol is not None and self.sam is not None:
             raise InvalidStateError("a label may carry polarization or spin, not both")
-        if self.sam not in (None, +1, -1):
+        if self.sam not in (None, +1, -1) or isinstance(self.sam, bool):
             raise ValueError(f"sam must be +1, -1 or None, got {self.sam!r}")
-        if not isinstance(self.oam, int):
+        if not isinstance(self.oam, int) or isinstance(self.oam, bool):
             raise ValueError(f"oam must be an integer, got {self.oam!r}")
         if not math.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
@@ -167,7 +167,8 @@ def new_spdc_state(center_frequency: float) -> TwoPhotonState:
     detuning and zero OAM.  The relative phase from crystal birefringence
     and the overall phase are omitted.
     """
-    if not (center_frequency > 0.0) or not math.isfinite(center_frequency):
+    if (isinstance(center_frequency, bool) or not center_frequency > 0.0
+            or not math.isfinite(center_frequency)):
         raise ValueError("center_frequency must be a positive finite rad/s value")
     a = 1.0 / math.sqrt(2.0)
     h = PhotonLabel(pol=Pol.H)

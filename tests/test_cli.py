@@ -570,7 +570,7 @@ def _constant_trace(tmp_path, value):
 
 
 def test_estimate_overflowing_trace_exits_4(tmp_path):
-    # the envelope fit of this trace is about 2.5e188 s wide: its square overflows
+    # a trace at 1e200 overflows the fit's sum of squares: the fit ends unconverged
     out = tmp_path / "result.json"
     with np.errstate(all="ignore"):
         code = run(["estimate", "--input", str(_constant_trace(tmp_path, 1e200)),

@@ -37,8 +37,7 @@ PUBLIC_NAMES = {
         "fwhm_bandwidth", "observability", "restricted_density_matrix", "trace", "visibility",
     ],
     "rotation_estimator": [
-        "EnvelopeFit", "EstimateResult", "NoisyTrace", "estimate", "extract_beat",
-        "fit_envelope", "synthesize_trace",
+        "EstimateResult", "NoisyTrace", "estimate", "extract_beat", "synthesize_trace",
     ],
 }
 

@@ -55,7 +55,7 @@ def test_spdc_state_normalized_for_any_frequency():
         assert state.center_frequency == omega
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
 def test_spdc_state_rejects_bad_frequency(bad):
     with pytest.raises(ValueError):
         new_spdc_state(bad)
@@ -231,6 +231,14 @@ def test_overlap_after_spin_round_trip():
     hybrid = run_pipeline(2, 1e12, OMEGA_DEG)[2]
     round_trip = apply_qwp(apply_qwp(hybrid))
     assert state_overlap(hybrid, round_trip) == pytest.approx(1.0, abs=NORM_TOL)
+
+
+@pytest.mark.parametrize("field", ["oam", "sam"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_label_rejects_a_boolean_charge(field, flag):
+    # True == 1: it printed l=+1 as an OAM charge and passed the spin check
+    with pytest.raises(ValueError):
+        PhotonLabel(**{field: flag})
 
 
 def test_label_match_tolerance():

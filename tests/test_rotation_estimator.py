@@ -6,8 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hombeat import rotation_estimator
 from hombeat.hom_interference import HomConfig, _normal_width, coincidence_rde
@@ -16,13 +14,11 @@ from hombeat.rotation_estimator import (
     NoisyTrace,
     estimate,
     extract_beat,
-    fit_envelope,
     synthesize_trace,
 )
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 import dip_fit_reference  # noqa: E402
-import direct_dft  # noqa: E402
 
 
 def cfg(l=2, omega=2e12, tau_c=1e-12, span=3e-12, n=1201):
@@ -106,44 +102,6 @@ def test_delays_at_any_scale_fit_or_are_rejected_without_warnings(k):
     assert result.tau_c_hat / scale == pytest.approx(1e-12, rel=1e-9)
 
 
-def test_beat_extraction_rejects_an_envelope_whose_square_underflows():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert extract_beat(NoisyTrace(_DIP_TAU, _DIP_P), tau_c_hat=1e-160) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# envelope fitting
-
-
-def test_envelope_of_plain_dip():
-    c = cfg(l=0, omega=0.0, n=601)
-    fit = fit_envelope(synthesize_trace(c, 0.0, 0))
-    assert fit.converged
-    assert fit.tau_c_hat == pytest.approx(1e-12, rel=0.005)
-    assert fit.visibility_hat == pytest.approx(1.0, rel=0.005)
-
-
-def test_envelope_of_beating_dip():
-    fit = fit_envelope(synthesize_trace(cfg(), 0.0, 0))
-    assert fit.converged
-    assert fit.tau_c_hat == pytest.approx(1e-12, rel=0.02)
-
-
-def test_envelope_of_flat_trace():
-    taus = np.linspace(-3e-12, 3e-12, 101)
-    flat = NoisyTrace(tau=taus, p=np.full(101, 0.5))
-    fit = fit_envelope(flat)
-    assert not fit.converged
-    assert fit.visibility_hat == pytest.approx(0.0, abs=1e-6)
-
-
-def test_envelope_needs_enough_samples():
-    taus = np.linspace(-3e-12, 3e-12, 16)
-    with pytest.raises(ValueError):
-        fit_envelope(NoisyTrace(tau=taus, p=np.full(16, 0.4)))
-
-
 # ---------------------------------------------------------------------------
 # beat extraction
 
@@ -169,8 +127,8 @@ def test_extract_beat_noisy():
 
 
 def test_extract_beat_on_non_uniform_grid():
-    # jitter below half a step keeps delays strictly increasing and forces
-    # the non-uniform FFT path instead of the rfft
+    # jitter below half a step keeps delays strictly increasing; the start
+    # reads the trace interpolated onto uniform delays, the fit the samples
     rng = np.random.default_rng(123)
     base = np.linspace(-3e-12, 3e-12, 1201)
     taus = base + rng.uniform(-0.2, 0.2, base.size) * (base[1] - base[0])
@@ -191,53 +149,6 @@ def jittered_trace(n, seed, sigma=0.0, beat=BEAT_REFERENCE):
     return NoisyTrace(tau=taus, p=p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(32, 600),
-    seed=st.integers(0, 2**32 - 1),
-    beat=st.floats(1e12, 2e13),
-    sigma=st.sampled_from([0.0, 0.01, 0.05]),
-)
-def test_non_uniform_spectrum_matches_direct_transform(n, seed, beat, sigma):
-    tr = jittered_trace(n, seed, sigma, beat)
-    y = 0.5 - tr.p
-    freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y)
-    want_freqs, want = direct_dft.magnitude_spectrum(tr.tau, y)
-    assert np.array_equal(freqs, want_freqs)
-    assert np.max(np.abs(spectrum - want)) <= 1e-10 * want.max()
-    # the bin extract_beat picks: the largest above its low-frequency guard
-    candidates = freqs >= 2.5 * 2.0 * math.pi / float(tr.tau[-1] - tr.tau[0])
-    assert np.argmax(spectrum[candidates]) == np.argmax(want[candidates])
-
-
-@pytest.mark.parametrize("n", range(3, 41))
-def test_non_uniform_spectrum_of_a_few_samples_matches_direct_transform(n):
-    # a few samples make a short FFT grid, onto which each sample still spreads 24 points
-    tr = jittered_trace(n, n, 0.01)
-    y = 0.5 - tr.p
-    for oversample in (2, 8):
-        freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y, oversample)
-        want_freqs, want = direct_dft.magnitude_spectrum(tr.tau, y, oversample=oversample)
-        assert np.array_equal(freqs, want_freqs)
-        assert np.max(np.abs(spectrum - want)) <= 1e-10 * want.max()
-
-
-def test_extract_beat_with_an_explicit_envelope_on_a_few_jittered_samples():
-    # an explicit envelope skips fit_envelope's sample count check
-    for n in (8, 9, 11):
-        beat = extract_beat(jittered_trace(n, 4), tau_c_hat=1e-12)
-        assert beat == 0.0 or beat * 1e-12 >= rotation_estimator.BEAT_RESOLUTION_RAD
-
-
-def test_extract_beat_with_the_direct_transform_is_unchanged(monkeypatch):
-    traces = [jittered_trace(1201, 123), *(jittered_trace(601, s, 0.01) for s in range(3))]
-    beats = [extract_beat(tr) for tr in traces]
-    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", direct_dft.magnitude_spectrum)
-    for tr, beat in zip(traces, beats):
-        assert beat == pytest.approx(BEAT_REFERENCE, rel=0.05)
-        assert extract_beat(tr) == pytest.approx(beat, rel=1e-9)
-
-
 def test_fft_length_is_the_next_5_smooth_integer():
     smooth = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8) for c in range(6))
     for n in range(1, 2049):
@@ -246,52 +157,37 @@ def test_fft_length_is_the_next_5_smooth_integer():
     assert rotation_estimator._fft_length(1_250_004) == 1_259_712
 
 
-def test_non_uniform_spectrum_memory_bounded_by_blocks():
+def test_estimate_memory_on_a_long_jittered_trace():
+    # the start interpolates the trace onto uniform delays, then thins it
     tr = jittered_trace(156_250, 5, 0.01)
-    y = 0.5 - tr.p
     tracemalloc.start()
     try:
-        freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, y)
+        fit = estimate(tr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spectrum.size == freqs.size == 156_250 | 1
-    assert peak <= 24 * 2**20
+    assert fit.converged
+    assert fit.beat == pytest.approx(BEAT_REFERENCE, rel=0.005)
+    assert peak <= 12 * 2**20
 
 
-def _exact_8n_spectrum(tau, y):
-    """The uniform spectrum padded to exactly 8 n samples, as before the 5-smooth length."""
-    n_pad = 8 * tau.size
-    spectrum = np.abs(np.fft.rfft(y * np.hanning(tau.size), n=n_pad))
-    return 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=float(np.diff(tau).mean())), spectrum
+PRIME_SAMPLES = 51_563  # a prime: 2 n is a Bluestein length for the FFT
 
 
-PRIME_SAMPLES = 51_563  # a prime: 2 n and 8 n are Bluestein lengths for the FFT
-
-
-def test_uniform_spectrum_pads_to_a_5_smooth_length():
+def test_projection_pads_to_a_5_smooth_length(monkeypatch):
     tr = synthesize_trace(cfg(span=2.2e-12, n=PRIME_SAMPLES), 0.01, seed=3)
-    freqs, spectrum = rotation_estimator._magnitude_spectrum(tr.tau, 0.5 - tr.p)
-    n_pad = rotation_estimator._fft_length(2 * PRIME_SAMPLES)
-    assert spectrum.size == freqs.size == n_pad // 2 + 1
-    dt = float(np.diff(tr.tau).mean())
-    np.testing.assert_allclose(np.diff(freqs), 2.0 * math.pi / (n_pad * dt), rtol=1e-9)
-
-
-def test_estimate_with_the_5_smooth_spectrum_matches_the_exact_8n_one(monkeypatch):
-    tr = synthesize_trace(cfg(span=2.2e-12, n=PRIME_SAMPLES), 0.01, seed=3)
-    sizes = []
-    spectrum = rotation_estimator._magnitude_spectrum
-    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum",
-                        lambda tau, y: sizes.append(tau.size) or spectrum(tau, y))
-    fast = estimate(tr)
-    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", _exact_8n_spectrum)
-    exact = estimate(tr)
-    assert sizes == [PRIME_SAMPLES]  # the whole trace lies in the analysis window
-    assert fast.beat == pytest.approx(BEAT_REFERENCE, rel=0.01)
-    assert fast.beat == pytest.approx(exact.beat, rel=1e-9)
-    assert (fast.converged, fast.below_resolution) == (exact.converged, exact.below_resolution)
-    assert fast.converged and not fast.below_resolution
+    lengths = []
+    for name in ("fft", "rfft"):
+        def transform(a, n, transform=getattr(np.fft, name)):
+            lengths.append(n)
+            return transform(a, n)
+        monkeypatch.setattr(np.fft, name, transform)
+    betas, _, _ = rotation_estimator._projection(tr.tau, 0.5 - tr.p, [1e-12, 2e-12])
+    half = rotation_estimator._fft_length(PRIME_SAMPLES)
+    assert sorted(lengths) == [half, 2 * half]
+    assert betas.size == half
+    h = float(tr.tau[1] - tr.tau[0])
+    np.testing.assert_allclose(np.diff(betas), math.pi / (half * h), rtol=1e-9)
 
 
 def _seeded_trace(i):
@@ -307,58 +203,58 @@ def _seeded_trace(i):
     return NoisyTrace(tau=tau, p=p, noise_sigma=sigma)
 
 
-def _estimate_at_8x(monkeypatch, tr):
-    """``estimate`` with every spectrum 8x fine, as before the 2x grid.
-
-    Uniform grids keep that padding, the 5-smooth length at or above 8 n;
-    jittered ones take the direct 8x transform.
-    """
-    dt = np.diff(tr.tau)
-    if np.allclose(dt, dt.mean(), rtol=1e-9, atol=0.0):
-        spectrum = rotation_estimator._magnitude_spectrum
-
-        def reference(tau, y, oversample=None):
-            return spectrum(tau, y, 8)
-    else:
-        def reference(tau, y, oversample=None):
-            return direct_dft.magnitude_spectrum(tau, y, oversample=8)
-    with monkeypatch.context() as m:
-        m.setattr(rotation_estimator, "_magnitude_spectrum", reference)
-        return estimate(tr)
-
-
 @pytest.mark.parametrize("i", range(72))
-def test_estimate_at_2x_padding_matches_the_8x_spectrum(monkeypatch, i):
+def test_estimate_does_not_depend_on_the_start_grid(monkeypatch, i):
     tr = _seeded_trace(i)
     shipped = estimate(tr)
-    reference = _estimate_at_8x(monkeypatch, tr)
-    assert ((shipped.converged, shipped.below_resolution)
-            == (reference.converged, reference.below_resolution))
-    if shipped.converged:
-        for field in ("beat", "tau_c_hat", "visibility_hat"):
-            assert getattr(shipped, field) == pytest.approx(getattr(reference, field), rel=1e-8)
+    monkeypatch.setattr(rotation_estimator, "_TAU_C_RATIO", 2.0**0.25)
+    monkeypatch.setattr(rotation_estimator, "_ENVELOPE_SAMPLES", 512)
+    dense = estimate(tr)
+    assert shipped.converged
+    assert (shipped.converged, shipped.below_resolution) == (dense.converged, dense.below_resolution)
+    assert shipped.beat == pytest.approx(dense.beat, rel=1e-8)
+    assert shipped.tau_c_hat == pytest.approx(dense.tau_c_hat, rel=2e-8)
+    assert shipped.visibility_hat == pytest.approx(dense.visibility_hat, rel=2e-8)
 
 
-def test_a_peak_by_the_resolution_threshold_is_decided_on_the_8x_grid(monkeypatch):
-    # beat * tau_c = 3.2 on +-2.5 tau_c: the peak sits by the guard bin, and the
-    # 2x bins alone would report no beat and fit a plain dip at rms 0.12
-    tr = synthesize_trace(cfg(l=1, omega=1.6e12, span=3.5e-12, n=401), 0.0, seed=0)
-    grids = []
-    spectrum = rotation_estimator._magnitude_spectrum
-
-    def counted(tau, y, oversample=2):
-        grids.append(oversample)
-        return spectrum(tau, y, oversample)
-
-    monkeypatch.setattr(rotation_estimator, "_magnitude_spectrum", counted)
+@pytest.mark.parametrize("beat_tau_c", [3.2, 3.0])
+def test_a_beat_by_the_resolution_threshold_is_decided_on_the_fitted_beat(beat_tau_c):
+    # just above and just below pi on +-3.5 tau_c, where a beat spectrum's peak
+    # sits by its low-frequency guard bin: the fitted beat decides
+    tr = synthesize_trace(cfg(l=1, omega=beat_tau_c / 2.0 * 1e12, span=3.5e-12, n=401), 0.0,
+                          seed=0)
     fit = estimate(tr)
-    assert not fit.below_resolution and fit.converged
-    assert fit.beat == pytest.approx(3.2e12, rel=1e-9)
-    assert grids == [2, 8]
-    for omega in (2e12, 0.0):  # beat * tau_c = 8, and a plain dip: both clear on the 2x grid
-        grids.clear()
-        extract_beat(synthesize_trace(cfg(omega=omega, span=3.5e-12, n=401), 0.0, seed=0))
-        assert grids == [2]
+    assert fit.converged
+    if beat_tau_c > math.pi:
+        assert not fit.below_resolution
+        assert fit.beat == pytest.approx(beat_tau_c * 1e12, rel=1e-9)
+    else:
+        assert fit.below_resolution and fit.beat == 0.0
+
+
+_RULE_BEAT_TAU_C = sorted({*np.linspace(0.5, 20.0, 80).tolist(),
+                           2.9, 3.0, 3.05, 3.1, 3.13, 3.15, 3.18, 3.2, 3.3, 3.5})
+
+
+@pytest.mark.parametrize("n", [64, 401, 1201])
+def test_noiseless_beat_is_resolved_exactly_from_pi(n):
+    # tau_c = 1 ps, uniform and jittered delays over three spans; below 64
+    # samples the plain-dip fit at beat * tau_c just under pi may not converge
+    broken = []
+    for span in (1.5, 2.5, 4.0):
+        for jittered in (False, True):
+            tau = np.linspace(-span, span, n) * 1e-12
+            if jittered:
+                rng = np.random.default_rng(n)
+                tau[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * float(tau[1] - tau[0])
+            for beat_tau_c in _RULE_BEAT_TAU_C:
+                p = coincidence_rde(tau, 1e-12, 1, beat_tau_c / 2.0 * 1e12)
+                fit = estimate(NoisyTrace(tau, p))
+                resolved = beat_tau_c >= math.pi
+                if not (fit.converged and fit.below_resolution != resolved
+                        and (not resolved or abs(fit.beat / (beat_tau_c * 1e12) - 1.0) <= 1e-6)):
+                    broken.append((span, jittered, beat_tau_c, fit))
+    assert broken == []
 
 
 def test_uniform_beat_extraction_memory():
