@@ -190,6 +190,28 @@ def test_projection_pads_to_a_5_smooth_length(monkeypatch):
     np.testing.assert_allclose(np.diff(betas), math.pi / (half * h), rtol=1e-9)
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_projection_of_a_few_samples_matches_the_direct_sums(n):
+    # a few samples leave little padding: g.g's term at 2 beta is read off a
+    # length-half transform, which holds only while env has at most half samples
+    rng = np.random.default_rng(n)
+    tau = np.linspace(-3e-12, 2e-12, n)  # off-centre, so the phase at tau[0] counts
+    y = 0.5 - coincidence_rde(tau, 1e-12, 1, 2e12) + rng.normal(0.0, 0.01, n)
+    h = float(tau[1] - tau[0])
+    taus_c = 0.5 * h * math.sqrt(2.0) ** np.arange(8)
+    betas, v, removed = rotation_estimator._projection(tau, y, taus_c)
+    g = (np.cos(np.outer(betas, tau))[None, :, :]
+         * np.exp(-0.5 * (tau / taus_c[:, None]) ** 2)[:, None, :])
+    yg = g @ y
+    a = yg / np.einsum("rbk,rbk->rb", g, g)
+    fits = a > 0.0
+    assert v.shape == removed.shape == (taus_c.size, betas.size)
+    np.testing.assert_allclose(v, np.where(fits, 2.0 * a, 0.0), rtol=0.0,
+                               atol=1e-10 * np.abs(2.0 * a).max())
+    np.testing.assert_allclose(removed, np.where(fits, yg * a, 0.0), rtol=0.0,
+                               atol=1e-10 * (y @ y))
+
+
 def _seeded_trace(i):
     """Trace ``i``: uniform for even i, jittered for odd; tau_c 1 ps, beat * tau_c in [0.5, 20)."""
     rng = np.random.default_rng([i, 8])
