@@ -201,8 +201,8 @@ def cmd_jsa(p: dict) -> int:
     shift = RdeShift(l=rde_l, omega_rot=p["rde_omega"]) if rde_l > 0 else None
     grid = jsa_grid(pump, pm, shift, p["half_width"], n)
 
-    nu1 = np.repeat(grid.axis1, n)
-    nu2 = np.tile(grid.axis2, n)
+    nu1 = np.broadcast_to(grid.axis1[:, None], (n, n))
+    nu2 = np.broadcast_to(grid.axis2, (n, n))
     meta = {
         **_preamble("jsa"),
         "sigma_rad_s": sigma,
@@ -214,7 +214,7 @@ def cmd_jsa(p: dict) -> int:
         "half_width_rad_s": p["half_width"],
         "grid": n,
     }
-    write_csv(p["out"], {"nu1": nu1, "nu2": nu2, "amplitude": grid.values.ravel()}, meta)
+    write_csv(p["out"], {"nu1": nu1, "nu2": nu2, "amplitude": grid.values}, meta)
     if p["svg"]:
         _bind(".svgplot")
         svgplot.heatmap(

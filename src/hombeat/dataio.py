@@ -7,13 +7,14 @@ reproduces them to 12 significant digits.  Missing cells are empty strings
 and read back as NaN.  No header text holds a line break, and no column
 name a comma.
 
-Rows are encoded by numpy a block at a time into one row buffer of slot
-bytes, which one NUL-delete turns into text.  A column block keeps the cells
-of its column's last block when it has the same bits, and one of few runs of
-equal bits encodes one cell per run.  Each value's 12-digit
-mantissa and decimal exponent come from float64 scaling by exact powers of
-ten, or from Python's correctly rounded ``format`` near a rounding tie, so
-every cell is exactly ``format_float``'s text, the one scalar definition.
+Columns share one shape, written in C order.  Rows are encoded by numpy a
+block of whole first-axis rows at a time into one row buffer of slot bytes,
+which one NUL-delete turns into text.  A column block keeps the cells of its
+column's last block when it has the same bits, and one of few runs of equal
+bits encodes one cell per run.  Each value's 12-digit mantissa and decimal
+exponent come from float64 scaling by exact powers of ten, or from Python's
+correctly rounded ``format`` near a rounding tie, so every cell is exactly
+``format_float``'s text, the one scalar definition.
 
 Reading parses a block of rows with numpy's C text reader, which converts
 each cell with the same correctly rounded ``PyOS_string_to_double`` as
@@ -283,21 +284,25 @@ def fixed2_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def pack_rows(columns, encode, separators: bytes, block_rows: int) -> Iterator[bytes]:
     """The text of rows of cells, each followed by its column's separator, a block at a
     time: ``encode`` (csv_cells or fixed2_cells) writes the columns' cells into one row
-    buffer, and one NUL-delete turns a block into text.
+    buffer, and one NUL-delete turns a block into text.  The columns share one shape,
+    read in C order; a block is whole rows of its first axis, at most ``block_rows``
+    cells unless one row is wider, so a broadcast view is copied a block at a time.
 
     A column block with the same bits as the column's last one keeps its cells.  One
     of at most n/4 runs of equal bits (so -0.0 apart from 0.0) encodes one cell per
     run and repeats whole cells by run length; any other is encoded directly.
     """
-    n_rows = len(columns[0]) if columns else 0
+    shape = columns[0].shape if columns else (0,)
+    width = math.prod(shape[1:])  # the cells of one row of the first axis
+    step = max(1, block_rows // max(width, 1))
     slots = _CSV_SLOTS if encode is csv_cells else _FIXED2_SLOTS
-    rows = np.empty((min(block_rows, n_rows), len(columns), slots), np.uint8)
+    rows = np.empty((min(step, shape[0]) * width, len(columns), slots), np.uint8)
     rows[:, :, -1] = np.frombuffer(separators, np.uint8)
     last = [np.empty(0, np.int64)] * len(columns)
-    for start in range(0, n_rows, block_rows):
-        block = rows[:n_rows - start]
+    for start in range(0, shape[0], step):
+        block = rows[:(shape[0] - start) * width]
         for j, values in enumerate(columns):
-            values = values[start:start + block_rows]
+            values = values[start:start + step].reshape(-1)  # a view, or a copy of a broadcast one
             bits = values.view(np.int64)
             if np.array_equal(bits, last[j]):
                 continue
@@ -320,15 +325,16 @@ def write_csv(
 ) -> None:
     """Write named columns with a key=value comment header.
 
-    Column values may contain None for missing cells.  All columns must
-    have equal length.  Rows are encoded and written BLOCK_ROWS at a time.
+    Column values may contain None for missing cells.  All columns share one
+    shape of at least one axis, whose cells in C order are the rows: 2-D
+    columns, broadcast views too, write as if raveled.  Rows are encoded and
+    written BLOCK_ROWS at a time, in whole rows of the first axis.
     """
     names = list(columns.keys())
-    lengths = {len(columns[n]) for n in names}
-    if len(lengths) > 1:
-        raise ValueError("all columns must have the same length")
     # None becomes NaN, which is written as an empty cell
     arrays = [np.asarray(columns[n], dtype=float) for n in names]
+    if len({a.shape for a in arrays}) > 1 or any(a.ndim == 0 for a in arrays):
+        raise ValueError("all columns must have the same length, as arrays of one shape")
     separators = b"," * (len(names) - 1) + b"\n"
     meta = {f"{key}": format_float(v) if isinstance(v, float) else f"{v}"
             for key, v in (meta or {}).items()}

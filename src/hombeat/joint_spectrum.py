@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# grid cells evaluated per step, in whole rows: each temporary is about 128 KiB
+_BLOCK_CELLS = 1 << 14
+
 
 @dataclass(frozen=True)
 class PumpSpectrum:
@@ -126,7 +129,8 @@ def jsa_grid(
     displaced arguments, ``tag = +-l * omega_rot`` (0 without a shift), times
     the pump envelope, which the shifts leave unchanged.  They are combined
     per point as the larger branch magnitude: the branches carry orthogonal
-    OAM tags, so their intensities do not interfere.
+    OAM tags, so their intensities do not interfere.  The grid is filled
+    ``_BLOCK_CELLS`` cells (whole rows) at a time.
     """
     if n < 16:
         raise ValueError("grid size n must be at least 16")
@@ -134,21 +138,23 @@ def jsa_grid(
     if not (half_width > 0.0 and 2.0 * half_width < sys.float_info.max):
         raise ValueError("half_width must be positive and below half the float range")
     axis = np.linspace(-half_width, half_width, n)
-    nu1 = axis[:, None]
     nu2 = axis[None, :]
     tag = 0.0 if shift is None else shift.l * shift.omega_rot
+    values = np.empty((n, n))
+    step = max(1, _BLOCK_CELLS // n)
     with np.errstate(all="ignore"):  # the finiteness check below reports overflow and 0/0
-        # taking the larger branch commutes with the common envelope, applied once
-        values = _profile(nu1, nu2, pm, tag)
-        np.maximum(values, _profile(nu1, nu2, pm, -tag), out=values)
-        values *= _envelope(nu1, nu2, pump)
+        for start in range(0, n, step):
+            nu1, block = axis[start:start + step, None], values[start:start + step]
+            # taking the larger branch commutes with the common envelope, applied once
+            np.maximum(_profile(nu1, nu2, pm, tag), _profile(nu1, nu2, pm, -tag), out=block)
+            block *= _envelope(nu1, nu2, pump)
     if not np.isfinite(values).all():
         # e.g. sigma**2 underflowing to 0 makes the envelope 0/0 on the antidiagonal
         raise ValueError("joint amplitude is not finite on the grid; check sigma and the "
                          "phase-matching coefficients")
     peak = values.max()
     if peak > 0.0:
-        values = values / peak
+        values /= peak
     return JsaGrid(axis1=axis, axis2=axis.copy(), values=values)
 
 

@@ -178,8 +178,8 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
         # a zero entry stays zero where the product of two scales would overflow
         return jtj * s[:, None] * s, s * [a @ r for a in shapes]
 
-    # a trace far outside [0, 1] overflows the squares: its fit ends unconverged, rms inf
-    with np.errstate(over="ignore"):
+    # a trace far outside [0, 1] overflows the squares (0 * inf is NaN): the fit ends unconverged
+    with np.errstate(over="ignore", invalid="ignore"):
         theta, r, converged, iterations = _damped_gauss_newton(evaluate, normal_equations,
                                                                start[free])
         rms = float(np.sqrt(np.mean(r**2)))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -124,6 +125,20 @@ def test_jsa_shifted_grid_and_svg(tmp_path):
     assert "<svg" in svg.read_text()
     meta, _ = read_csv(out)
     assert meta["rde_l"] == "2"
+
+
+def test_jsa_export_memory_stays_near_the_grid_itself(tmp_path):
+    # the 1024 x 1024 amplitude is 8.4 MB; the axes go to write_csv as views, so
+    # only a block of their rows is ever copied (whole copies would add 16.8 MB)
+    argv = ["jsa", "--rde-l", "2", "--rde-omega", "1.3e12", "--out", str(tmp_path / "jsa.csv")]
+    assert run([*argv, "--grid", "16"]) == 0  # the lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        assert run([*argv, "--grid", "1024"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= 14.0
 
 
 def test_jsa_rejects_tiny_grid(tmp_path):
@@ -579,13 +594,15 @@ def test_estimate_overflowing_trace_exits_4(tmp_path):
     assert json.loads(out.read_text())["converged"] is False
 
 
-def test_estimate_overflowing_trace_warns_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("value", [1e200, -1e200, 1e308, -1e308])
+def test_estimate_overflowing_trace_warns_nothing(tmp_path, capsys, value):
     # the same trace without an errstate guard: the fit's squares overflow inside
-    # the estimator, which must say nothing about it beyond its exit code
+    # the estimator (at -1e308 a zero scale times an infinite J^T r is NaN), which
+    # must say nothing about it beyond its exit code
     out = tmp_path / "result.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run(["estimate", "--input", str(_constant_trace(tmp_path, 1e200)),
+        code = run(["estimate", "--input", str(_constant_trace(tmp_path, value)),
                     "--out", str(out)])
     assert code == 4
     assert capsys.readouterr().err == ""

@@ -86,6 +86,20 @@ def test_mismatched_column_lengths_rejected(tmp_path):
         write_csv(tmp_path / "bad.csv", {"a": [1.0], "b": [1.0, 2.0]}, {})
 
 
+@pytest.mark.parametrize("columns", [
+    {"a": np.zeros((2, 3)), "b": np.zeros(6)},  # the same cells, not the same shape
+    {"a": np.zeros((2, 3)), "b": np.zeros((3, 2))},
+    {"a": np.zeros((2, 3)), "b": np.broadcast_to(np.zeros(3), (4, 3))},
+    {"a": 1.0},  # a 0-d column has no length
+    {"a": np.float64(1.0), "b": np.zeros(1)},
+])
+def test_columns_of_unequal_shape_or_no_axis_rejected(tmp_path, columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="same length"):
+        write_csv(path, columns)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "columns,meta",
     [({"a": [1.0]}, {"note": "line one\nfreq_thz,bogus"}),
@@ -344,6 +358,36 @@ def test_symmetric_jsa_amplitude_blocks_are_encoded_directly(encoded):
     assert _block_text(block, dataio.csv_cells, b"\n") == "".join(
         format_float(v) + "\n" for v in block.tolist())
     assert encoded == [16]
+
+
+# widths that divide BLOCK_ROWS (256, 1024), that do not (200, 384, 1000), and a
+# row wider than a block (20,000); each shape spans at least three blocks
+@pytest.mark.parametrize("shape", [(130, 256), (40, 1024), (170, 200), (90, 384), (35, 1000),
+                                   (3, 20_000)])
+def test_equal_shape_columns_write_as_their_raveled_cells(tmp_path, shape):
+    rng = np.random.default_rng(shape[1])
+    axis1, axis2 = rng.uniform(-6e12, 6e12, shape[0]), rng.uniform(-6e12, 6e12, shape[1])
+    grid = rng.random(shape)
+    grid[rng.random(shape) < 0.05] = math.nan
+    grid[:, :7] = -0.0  # a run of equal bits at the start of every row
+    columns = {"nu1": np.broadcast_to(axis1[:, None], shape), "nu2": np.broadcast_to(axis2, shape),
+               "amplitude": grid, "flipped": grid[:, ::-1], "flat": np.broadcast_to(0.5, shape)}
+    write_csv(tmp_path / "grid.csv", columns)
+    write_csv(tmp_path / "raveled.csv", {name: np.ravel(c) for name, c in columns.items()})
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "raveled.csv").read_bytes()
+
+
+def test_broadcast_jsa_axes_skip_their_repeated_blocks(tmp_path, encoded):
+    # 81 whole rows of 200 a block: nu1 is 81 runs, and nu2's second block has
+    # the bits of its first, so only its short last block is encoded again
+    grid, _ = _jsa_columns(200)
+    columns = {"nu1": np.broadcast_to(grid.axis1[:, None], (200, 200)),
+               "nu2": np.broadcast_to(grid.axis2, (200, 200)), "amplitude": grid.values}
+    write_csv(tmp_path / "jsa.csv", columns)
+    assert encoded == [81, 16_200, 16_200, 81, 16_200, 38, 7_600, 7_600]
+    assert (tmp_path / "jsa.csv").read_text() == "nu1,nu2,amplitude\n" + "".join(
+        f"{format_float(a)},{format_float(b)},{format_float(v)}\n"
+        for a, b, v in zip(*(np.ravel(c).tolist() for c in columns.values())))
 
 
 def test_fixed2_products_at_a_half_round_by_their_error(monkeypatch):

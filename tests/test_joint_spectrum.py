@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hombeat import joint_spectrum
 from hombeat.hom_interference import coincidence_plain, coincidence_numeric
 from hombeat.hybrid_state import run_pipeline
 from hombeat.joint_spectrum import (
@@ -243,6 +245,45 @@ def test_grid_parameter_validation(pump, pm):
         RdeShift(l=-1, omega_rot=1e12)
     with pytest.raises(ValueError, match="l \\* omega_rot must be finite"):
         RdeShift(l=2, omega_rot=1e308)  # each finite, the shift not
+
+
+def _whole_grid(pump, pm, tag, half_width, n):
+    """Both branches and the envelope evaluated on all n x n cells at once."""
+    axis = np.linspace(-half_width, half_width, n)
+    nu1, nu2 = axis[:, None], axis[None, :]
+    with np.errstate(all="ignore"):
+        values = np.maximum(_profile(nu1, nu2, pm, tag), _profile(nu1, nu2, pm, -tag))
+        values *= _envelope(nu1, nu2, pump)
+    return values / values.max()
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100 * 100])
+@pytest.mark.parametrize("n", [16, 17, 100])
+@pytest.mark.parametrize("shift", [None, RdeShift(l=2, omega_rot=1e12)])
+def test_grid_in_blocks_of_rows_is_bit_identical_to_the_whole_grid(monkeypatch, pump, pm,
+                                                                   block_cells, n, shift):
+    # 1 and 7 cells are one row a step, at least n * n the whole grid in one
+    monkeypatch.setattr(joint_spectrum, "_BLOCK_CELLS", block_cells)
+    grid = jsa_grid(pump, pm, shift, 6e12, n)
+    tag = 0.0 if shift is None else shift.l * shift.omega_rot
+    expected = _whole_grid(pump, pm, tag, 6e12, n)
+    assert grid.values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    # a pump width whose square underflows makes the envelope 0/0 on the antidiagonal
+    with pytest.raises(ValueError, match="not finite on the grid"):
+        jsa_grid(PumpSpectrum(center=1.0, sigma=1e-300), pm, shift, 6e12, n)
+
+
+def test_grid_memory_stays_near_the_grid_itself(pump, pm):
+    # the 1024 x 1024 values are 8.4 MB; one whole-grid temporary per branch
+    # would add 16.8 MB
+    jsa_grid(pump, pm, RdeShift(l=2, omega_rot=1e12), 6e12, 16)
+    tracemalloc.start()
+    try:
+        jsa_grid(pump, pm, RdeShift(l=2, omega_rot=1e12), 6e12, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 <= 10.0
 
 
 # ---------------------------------------------------------------------------
