@@ -366,13 +366,13 @@ def _skip_line(line: str, meta: dict[str, str]) -> bool:
 def _parse_numbers(text: str, width: int) -> np.ndarray | None:
     """Lines as rows of ``width`` numbers, or None if any is not one.
 
-    Empty lines are skipped.  A block of only blank lines is None: numpy's
-    reader would warn that it holds no data.
+    Empty lines are skipped; a block of only blank lines is None (numpy's
+    reader would warn).  It parses bytes: a str buffer takes 4 per character.
     """
     if text.isspace():
         return None
     try:
-        rows = np.loadtxt(io.StringIO(text), float, delimiter=",", comments=None, ndmin=2)
+        rows = np.loadtxt(io.BytesIO(text.encode()), float, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None  # an empty or bad cell, or a ragged row
     return rows if rows.shape[1] == width else None

@@ -122,12 +122,18 @@ def dip_model(tau, v, beat, tau_c):
     """The dip ``1/2 - (v/2) cos(beat tau) exp(-tau^2 / (2 tau_c^2))`` at the delays ``tau``.
 
     Returns ``(p, cos, envelope)``: a fit's Jacobian reuses the cosine and
-    the envelope.
+    the envelope.  Envelope and ``p`` are built in place, in the expression's
+    own operations and order: one array each, with the expression's bits.
     """
     cos = np.cos(beat * tau)
+    envelope = np.empty(np.shape(tau))
     with np.errstate(over="ignore"):  # a tau*tau beyond the float range is an envelope of exactly 0
-        envelope = np.exp(-(tau * tau) / (2.0 * tau_c * tau_c))
-    return 0.5 - 0.5 * v * cos * envelope, cos, envelope
+        np.negative(np.multiply(tau, tau, out=envelope), out=envelope)
+        envelope /= 2.0 * tau_c * tau_c
+        np.exp(envelope, out=envelope)
+    p = np.multiply(0.5 * v, cos, out=np.empty_like(envelope))
+    p *= envelope
+    return np.subtract(0.5, p, out=p), cos, envelope
 
 
 def coincidence_plain(tau, tau_c: float):

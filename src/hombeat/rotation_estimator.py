@@ -105,11 +105,13 @@ def _damped_gauss_newton(evaluate, normal_equations, theta0, max_iter=MAX_ITERAT
     """Minimize ||r(theta)||^2 with step-halving damping.
 
     ``evaluate(theta)`` returns the residual r and the intermediates that
-    ``normal_equations(theta, r, intermediates)`` reuses to return J^T J and
-    J^T r at the same theta, J being the Jacobian of r.  Returns (theta,
-    residual, converged, iterations).  A singular normal matrix or a step
-    that cannot reduce the objective ends the fit unconverged with the best
-    parameters found so far.
+    ``normal_equations(theta, r, intermediates)`` reuses, and may overwrite,
+    to return J^T J and J^T r at the same theta, J being the Jacobian of r.
+    The line search reads only sums of squares: it drops the intermediates
+    and each rejected candidate, holding one evaluation beside the residual.
+    Returns (theta, residual, converged, iterations).  A singular normal
+    matrix or a step that cannot reduce the objective ends the fit
+    unconverged with the best parameters found so far.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, shared = evaluate(theta)
@@ -117,6 +119,7 @@ def _damped_gauss_newton(evaluate, normal_equations, theta0, max_iter=MAX_ITERAT
     iterations = 0
     for iterations in range(1, max_iter + 1):
         jtj, jtr = normal_equations(theta, r, shared)
+        shared = None
         try:
             step = np.linalg.solve(jtj, -jtr)
         except np.linalg.LinAlgError:
@@ -126,6 +129,7 @@ def _damped_gauss_newton(evaluate, normal_equations, theta0, max_iter=MAX_ITERAT
         lam = 1.0
         for _ in range(30):
             candidate = theta + lam * step
+            rc = shared_c = None  # the last candidate, rejected or the iterate's own
             rc, shared_c = evaluate(candidate)
             src = float(rc @ rc)
             if src <= ssr:
@@ -160,19 +164,24 @@ def _fit_dip(tau, target, v0, beat0, tau_c0, free_beat):
     def evaluate(theta):
         v, b, u = unpack(theta)
         p, cos, env = dip_model(tau, v, b / t0, u * t0)
-        return p - target, (cos, env)
+        return np.subtract(p, target, out=p), (cos, env)
 
     def normal_equations(theta, r, shared):
         # the Jacobian's columns are scales times shapes: d/dV = -cos env / 2,
         # d/db = (v/2) sin env x and d/du = -(v / (2 u^3)) cos env x^2
         v, b, u = unpack(theta)
         cos, env = shared
-        ce = cos * env
-        shapes = [ce, ce * x * x]
-        scales = [-0.5, -0.5 * v / u**3]
-        if free_beat:
-            shapes.insert(1, np.sin(b / t0 * tau) * env * x)
+        shapes, scales = [cos, env], [-0.5, -0.5 * v / u**3]
+        if free_beat:  # sin env x, in a buffer of its own
+            sin = np.multiply(b / t0, tau)
+            np.sin(sin, out=sin)
+            sin *= env
+            sin *= x
+            shapes.insert(1, sin)
             scales.insert(1, 0.5 * v)
+        cos *= env  # cos env, then cos env x^2 in the envelope's buffer
+        np.multiply(cos, x, out=env)
+        env *= x
         jtj = np.array([[a @ b for b in shapes] for a in shapes])
         s = np.array(scales)
         # a zero entry stays zero where the product of two scales would overflow

@@ -653,6 +653,14 @@ def _jsa_shaped(n):
     return {"nu1": np.repeat(axis, n), "nu2": np.tile(axis, n), "amplitude": amplitude.ravel()}
 
 
+def test_reading_a_long_trace_parses_its_blocks_from_bytes(tmp_path):
+    # a block parsed from a str buffer costs 4 bytes a character: 9.9 MB for this trace
+    tau = np.linspace(-2.2e-12, 2.2e-12, 176_001)
+    path = tmp_path / "trace.csv"
+    write_csv(path, {"tau_s": tau, "p": 0.5 - 0.5 * np.cos(8e12 * tau) * np.exp(-(tau / 1e-12) ** 2)})
+    assert _traced_peak_mb(lambda: read_csv(path)) <= 8.0
+
+
 def test_write_and_read_memory_stays_bounded(tmp_path):
     path = tmp_path / "jsa.csv"
     columns = _jsa_shaped(512)

@@ -94,6 +94,27 @@ def test_dip_model_scales_the_dip_by_its_visibility():
     assert dip_model(np.array([1e300]), 1.0, 0.0, TAU_C)[2][0] == 0.0
 
 
+@pytest.mark.parametrize("tau,beat", [
+    (np.linspace(-3e-12, 3e-12, 61), 4e12),
+    (np.array(1.5e-12), 4e12),
+    (1.5e-12, 4e12),
+    (np.array([-1e300, -2e-12, 0.0, 1e-12, 1e300]), 0.0),
+])
+def test_dip_model_in_place_has_the_expressions_bits(tau, beat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, cos, envelope = dip_model(tau, 0.8, beat, TAU_C)
+    with np.errstate(over="ignore"):
+        expected_envelope = np.exp(-(tau * tau) / (2.0 * TAU_C * TAU_C))
+    expected = (0.5 - 0.5 * 0.8 * np.cos(beat * tau) * expected_envelope, np.cos(beat * tau),
+                expected_envelope)
+    for got, want in zip((p, cos, envelope), expected):
+        assert np.shape(got) == np.shape(tau)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # a delay whose square overflows has an envelope of exactly 0
+    assert np.array_equal(envelope == 0.0, np.abs(tau) > 1e200)
+
+
 def test_closed_forms_validate():
     with pytest.raises(ValueError):
         coincidence_plain(0.0, 0.0)
