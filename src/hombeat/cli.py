@@ -90,7 +90,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ValueError(f"config file not found: {path}") from exc
@@ -340,7 +340,7 @@ def cmd_estimate(p: dict) -> int:
             document[key] = None
     text = json.dumps(document, indent=2, allow_nan=False)
     if p["out"]:
-        with open(p["out"], "w", newline="\n") as fh:
+        with open(p["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text + "\n")
     else:
         print(text)

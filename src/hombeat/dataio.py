@@ -16,19 +16,19 @@ exponent come from float64 scaling by exact powers of ten, or from Python's
 correctly rounded ``format`` near a rounding tie, so every cell is exactly
 ``format_float``'s text, the one scalar definition.
 
-Reading parses a block of rows with numpy's C text reader, which converts
-each cell with the same correctly rounded ``PyOS_string_to_double`` as
-``float``; a block it rejects is read line by line, where an empty cell is
-NaN and a malformed row or cell is reported.
+Reading hands the open file, after its header, to one call of numpy's C
+text reader, which converts each cell with the same correctly rounded
+``PyOS_string_to_double`` as ``float``; a body it rejects is read again line
+by line, where an empty cell is NaN and a malformed row or cell is reported.
 """
 
 from __future__ import annotations
 
-import io
 import math
+from array import array
 from functools import cache, reduce
 from itertools import repeat
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,8 +58,6 @@ def format_float(x: float) -> str:
 # rows formatted per step: big enough that the per-block numpy calls are
 # amortized, small enough that the bytes of one block stay about a MB
 BLOCK_ROWS = 1 << 14
-# characters read per step, about BLOCK_ROWS lines of a written document
-READ_CHARS = 1 << 20
 
 # ---------------------------------------------------------------------------
 # Cell text as bytes, many cells at once.  Every finite nonzero value becomes
@@ -363,25 +361,13 @@ def _skip_line(line: str, meta: dict[str, str]) -> bool:
     return False
 
 
-def _parse_numbers(text: str, width: int) -> np.ndarray | None:
-    """Lines as rows of ``width`` numbers, or None if any is not one.
-
-    Empty lines are skipped; a block of only blank lines is None (numpy's
-    reader would warn).  It parses bytes: a str buffer takes 4 per character.
-    """
-    if text.isspace():
-        return None
-    try:
-        rows = np.loadtxt(io.BytesIO(text.encode()), float, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None  # an empty or bad cell, or a ragged row
-    return rows if rows.shape[1] == width else None
-
-
-def _parse_rows(lines: list[str], width: int) -> np.ndarray:
-    """Parse data lines one by one into a (len(lines), width) array; empty cells are NaN."""
-    numbers = []
+def _parse_rows(lines: Iterable[str], width: int, meta: dict[str, str]) -> np.ndarray:
+    """Parse lines one by one into rows of ``width`` numbers, kept as packed doubles;
+    blank and comment lines are skipped as in the header, and empty cells are NaN."""
+    numbers = array("d")
     for line in lines:
+        if _skip_line(line, meta):
+            continue
         cells = [cell.strip() or "nan" for cell in line.split(",")]  # empty cells are NaN
         if len(cells) != width:
             raise ValueError(f"malformed CSV: row has {len(cells)} cells, expected {width}")
@@ -390,53 +376,42 @@ def _parse_rows(lines: list[str], width: int) -> np.ndarray:
                 numbers.append(float(cell))
             except ValueError as exc:
                 raise ValueError(f"malformed CSV: bad numeric cell {cell!r}") from exc
-    return np.array(numbers, dtype=float).reshape(-1, width)
-
-
-def _text_blocks(fh) -> Iterator[str]:
-    """The rest of a text file in pieces of whole lines, each ending in a newline."""
-    tail = ""
-    for chunk in iter(lambda: fh.read(READ_CHARS), ""):
-        text = tail + chunk
-        cut = text.rfind("\n") + 1
-        tail = text[cut:]
-        if cut:
-            yield text[:cut]
-    if tail:
-        yield tail + "\n"
+    return np.frombuffer(numbers).reshape(-1, width)
 
 
 def read_csv(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """Read a document written by :func:`write_csv`.
 
     Returns the metadata mapping and the columns as float arrays; empty
-    cells become NaN.  Raises ValueError on structural problems.  After the
-    header, the file is read READ_CHARS at a time; a block of only full
-    numeric rows (blank lines aside) is parsed by numpy's C reader, any
-    other block line by line.
+    cells become NaN.  Raises ValueError on structural problems.  The body
+    after the header is parsed by one call of numpy's C reader on the open
+    file; a body it rejects (an empty cell, a comment among the rows, a bad
+    or ragged row) is read again line by line.
     """
     meta: dict[str, str] = {}
-    names: list[str] | None = None
-    blocks: list[np.ndarray] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not _skip_line(line, meta):
-                names = [c.strip() for c in line.split(",")]
-                if not all(names):
-                    raise ValueError("malformed CSV: empty column name")
-                break
-        if names is None:
+    with open(path, encoding="utf-8") as fh:
+        # by readline: iterating the file would disable tell()
+        lines = (line for line in iter(fh.readline, "") if not _skip_line(line, meta))
+        header = next(lines, None)
+        if header is None:
             raise ValueError("malformed CSV: no column header line")
-        for text in _text_blocks(fh):
-            # a comment line is a bad cell to the parser, so its block goes line by line
-            rows = _parse_numbers(text, len(names))
-            if rows is None:
-                data = [line for line in text.split("\n")[:-1] if not _skip_line(line, meta)]
-                rows = _parse_rows(data, len(names))
-            blocks.append(rows)
-    data = np.concatenate(blocks) if blocks else np.empty((0, len(names)))
-    return meta, {name: data[:, i] for i, name in enumerate(names)}
+        names = [c.strip() for c in header.split(",")]
+        if not all(names):
+            raise ValueError("malformed CSV: empty column name")
+        if repeated := [name for i, name in enumerate(names) if name in names[:i]]:
+            raise ValueError(f"malformed CSV: duplicate column name {repeated[0]!r}")
+        body = fh.tell()
+        rows = None
+        if next(lines, None) is not None:  # numpy's reader warns on a body of no rows
+            fh.seek(body)
+            try:
+                rows = np.loadtxt(fh, float, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if rows is None or rows.shape[1] != len(names):
+            fh.seek(body)
+            rows = _parse_rows(fh, len(names), meta)
+    return meta, {name: rows[:, i] for i, name in enumerate(names)}
 
 
 def read_hom_trace(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:

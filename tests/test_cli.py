@@ -386,6 +386,30 @@ def test_phasematch_custom_sellmeier_via_config(tmp_path):
     assert float(meta["intersection_thz"]) == pytest.approx(370.44, abs=2.0)
 
 
+def test_text_files_are_utf8_whatever_the_locale(tmp_path):
+    # a file opened with the locale's encoding warns under warn_default_encoding,
+    # and misreads a non-ASCII provenance where the locale is not UTF-8
+    provenance = "Kato (1986), β-BaB₂O₄ ± 0.1 Å"
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "sellmeier_ordinary": [2.7359, 0.01878, 0.01822, 0.01354],
+        "sellmeier_extraordinary": KATO_EXTRAORDINARY,
+        "sellmeier_provenance": provenance,
+    }, ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hombeat.__file__).parents[1])}
+    for argv in (["hom", "--points", "201", "--out", "trace.csv"],
+                 ["estimate", "--input", "trace.csv", "--out", "result.json"],
+                 ["phasematch", "--cut-angle", "45", "--points", "201", "--config", "cfg.json",
+                  "--out", "pm.csv"]):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "hombeat", *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["converged"]
+    meta, _ = read_csv(tmp_path / "pm.csv")
+    assert meta["sellmeier"] == provenance
+
+
 def test_phasematch_rejects_a_line_break_in_the_provenance(tmp_path, capsys):
     # the provenance goes into a "# sellmeier=" header line: a line break in it
     # wrote a CSV that read_csv refuses ("row has 3 cells, expected 2")
@@ -566,6 +590,16 @@ def test_estimate_malformed_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("tau_s,p\n1.0,spam\n")
     assert run(["estimate", "--input", str(bad)]) == 2
+
+
+def test_estimate_rejects_a_duplicate_column_name(tmp_path, capsys):
+    # a dict of columns kept the second p, and the fit of that flat column exited 4
+    taus = np.linspace(-3e-12, 3e-12, 401)
+    path = tmp_path / "twice.csv"
+    np.savetxt(path, np.column_stack([taus, coincidence_rde(taus, 1e-12, 2, 2e12), np.full(401, 0.5)]),
+               fmt="%.17g", delimiter=",", header="tau_s,p,p", comments="")
+    assert run(["estimate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: malformed CSV: duplicate column name 'p'\n"
 
 
 def test_estimate_of_delays_whose_square_overflows_exits_2(tmp_path, capsys):

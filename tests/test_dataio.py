@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hombeat import dataio
 from hombeat.dataio import (
     BLOCK_ROWS,
-    READ_CHARS,
     csv_cells,
     fixed2_cells,
     format_float,
@@ -22,6 +21,9 @@ from hombeat.dataio import (
     write_csv,
 )
 from hombeat.joint_spectrum import PhaseMatchGaussian, PumpSpectrum, RdeShift, jsa_grid
+
+# the least size of the long documents the reader tests use
+MIB = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,39 @@ def test_read_rejects_headerless_file(tmp_path):
     path.write_text("# only=meta\n")
     with pytest.raises(ValueError):
         read_csv(path)
+
+
+@pytest.mark.parametrize("header", ["tau_s,p,p", "p, tau_s ,p", "a,b,c,b"])
+def test_read_rejects_duplicate_column_names(tmp_path, header):
+    # a dict of columns kept only the last of two equal names
+    path = tmp_path / "twice.csv"
+    path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+    name = "b" if "b" in header else "p"
+    with pytest.raises(ValueError, match=f"^malformed CSV: duplicate column name '{name}'$"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("text,meta,rows", [
+    # blank and comment lines before the names, one with no value
+    ("\n# a=1\n\n#b\n  \t\n# c = 2 \n#d=\nx,y\n1,2\n", {"a": "1", "c": "2", "d": ""}, [[1, 2]]),
+    # the names line with no newline: zero rows
+    ("# a=1\nx,y", {"a": "1"}, []),
+    ("x , y ", {}, []),
+    # CRLF line endings, also in the header and with a comment before the first row
+    ("# a=1\r\nx,y\r\n1,2\r\n3,4\r\n", {"a": "1"}, [[1, 2], [3, 4]]),
+    ("x,y\r\n# e=5\r\n\r\n1,2\r\n3,4", {"e": "5"}, [[1, 2], [3, 4]]),
+    # a later comment overrides an earlier value but keeps its place
+    ("# a=1\n# b=2\nx,y\n# a=3\n1,2\n", {"a": "3", "b": "2"}, [[1, 2]]),
+])
+def test_header_edge_cases_read_as_written(tmp_path, text, meta, rows):
+    path = tmp_path / "header.csv"
+    path.write_bytes(text.encode())
+    got, columns = read_csv(path)
+    assert got == meta and list(got) == list(meta)
+    assert list(columns) == ["x", "y"]
+    assert all(c.dtype == np.float64 and c.shape == (len(rows),) for c in columns.values())
+    np.testing.assert_array_equal(np.column_stack([columns["x"], columns["y"]]),
+                                  np.reshape(rows, (-1, 2)))
 
 
 def test_read_hom_trace_requires_columns(tmp_path):
@@ -491,7 +526,7 @@ def _padded(v):
     padded=st.sets(st.integers(0, 3 * (BLOCK_ROWS + 300) - 1), max_size=25),
 )
 def test_read_round_trips_long_documents(tmp_path, extra, empty, padded):
-    """Blank and comment lines between rows, padded and empty cells, across blocks."""
+    """Blank and comment lines between rows, padded and empty cells, over 1 MiB."""
     n = BLOCK_ROWS + 300
     values = np.random.default_rng(len(extra)).normal(size=(n, 3)) * 1e-7
     expected = values.copy()
@@ -511,7 +546,7 @@ def test_read_round_trips_long_documents(tmp_path, extra, empty, padded):
         lines.append(",".join(cells))
     path = tmp_path / "long.csv"
     path.write_text("\n".join(lines) + "\n")
-    assert path.stat().st_size > READ_CHARS
+    assert path.stat().st_size > MIB
     meta, columns = read_csv(path)
     assert meta == {"tool": "test", **{f"row{i}": str(i) for i in extra}}
     assert list(columns) == ["a", "b", "c"]
@@ -525,7 +560,8 @@ def test_read_round_trips_long_documents(tmp_path, extra, empty, padded):
      ("1.0, spam", "bad numeric cell 'spam'"), ("1.0,#2", "bad numeric cell '#2'")],
 )
 def test_bad_row_in_second_block_keeps_its_error(tmp_path, bad, message):
-    n = READ_CHARS // 16
+    # the bad row lies past the first MiB of the document
+    n = MIB // 16
     rows = [f"{i}.125,{i}.5" for i in range(n)]  # 16 or more characters a line
     rows[n - 9] = bad
     rows[n - 7] = "1.0"  # a later fault must not be the one reported
@@ -535,14 +571,14 @@ def test_bad_row_in_second_block_keeps_its_error(tmp_path, bad, message):
         read_csv(path)
 
 
-def test_empty_cell_in_one_block_leaves_the_others_intact(tmp_path):
-    n = READ_CHARS // 8
+def test_empty_cell_in_a_long_document_leaves_the_others_intact(tmp_path):
+    n = MIB // 8
     x = np.arange(n, dtype=float)
     y = x / 7.0
     y[n // 2] = math.nan
     path = tmp_path / "doc.csv"
     write_csv(path, {"x": x, "y": y})
-    assert path.stat().st_size > 2 * READ_CHARS
+    assert path.stat().st_size > 2 * MIB
     _, columns = read_csv(path)
     np.testing.assert_array_equal(columns["x"], x)
     np.testing.assert_allclose(columns["y"], y, rtol=1e-11)
@@ -573,7 +609,7 @@ def test_read_gives_the_bits_of_float_on_written_documents(tmp_path):
     values = np.resize(values, (values.size // 3) * 3).reshape(-1, 3)
     path = tmp_path / "written.csv"
     write_csv(path, {"a": values[:, 0], "b": values[:, 1], "c": values[:, 2]})
-    assert path.stat().st_size > READ_CHARS
+    assert path.stat().st_size > MIB
     np.testing.assert_array_equal(_read_bits(path), _float_per_cell(path).view(np.int64))
 
 
@@ -620,12 +656,12 @@ def test_empty_cells_read_as_nan(tmp_path):
 
 
 @pytest.mark.parametrize("blank", ["\n", "\n \t\n"])
-def test_blank_tail_after_a_block_boundary_reads_quietly(tmp_path, capfd, blank):
+def test_blank_tail_of_over_a_mib_reads_quietly(tmp_path, capfd, blank):
     rows = np.arange(2000.0).reshape(-1, 2)
     path = tmp_path / "tail.csv"
     write_csv(path, {"x": rows[:, 0], "y": rows[:, 1]})
     with open(path, "a") as fh:
-        fh.write(blank * (READ_CHARS // len(blank) + 1))
+        fh.write(blank * (MIB // len(blank) + 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, columns = read_csv(path)
@@ -633,8 +669,65 @@ def test_blank_tail_after_a_block_boundary_reads_quietly(tmp_path, capfd, blank)
     assert capfd.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("body", ["", "\n", "\n\n \t\n", "\r\n\r\n", "\n# d=4\n\n"])
+def test_a_body_without_rows_reads_as_zero_rows_quietly(tmp_path, capfd, body):
+    # numpy's reader warns "input contained no data" on such a body
+    path = tmp_path / "empty.csv"
+    path.write_bytes(("# a=1\nx,y\n" + body).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        meta, columns = read_csv(path)
+    assert meta == {"a": "1", **({"d": "4"} if "d=" in body else {})}
+    assert [c.shape for c in columns.values()] == [(0,), (0,)]
+    assert capfd.readouterr() == ("", "")
+
+
+def _long_trace(path, note=False):
+    """A 176,001-row trace written as ``hom`` writes one; with ``note``, one
+    ``# note=x`` comment among its rows, half way through them."""
+    tau = np.linspace(-2.2e-12, 2.2e-12, 176_001)
+    p = 0.5 - 0.5 * np.cos(8e12 * tau) * np.exp(-(tau / 1e-12) ** 2)
+    write_csv(path, {"tau_s": tau, "p": p})
+    if note:
+        lines = path.read_text().split("\n")
+        lines.insert(len(lines) // 2, "# note=x")
+        path.write_text("\n".join(lines))
+
+
+def test_a_clean_body_is_one_numpy_parse_of_the_open_file(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    _long_trace(path)
+    expected = _float_per_cell(path)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(source, *args, **kwargs):
+        calls.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("a clean body went to the line-by-line reader")
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    monkeypatch.setattr(dataio, "_parse_rows", refuse)
+    meta, columns = read_csv(path)
+    # the open file, not its name: numpy opens a name ending in .gz as gzip
+    assert len(calls) == 1 and hasattr(calls[0], "readline")
+    assert meta == {}
+    np.testing.assert_array_equal(
+        np.column_stack([columns["tau_s"], columns["p"]]).view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["plain.gz", "plain.bz2", "plain.xz"])
+def test_a_plain_text_document_reads_whatever_its_name(tmp_path, name):
+    path = tmp_path / name
+    write_csv(path, {"x": [1.0, 2.0], "y": [3.0, 4.0]})
+    _, columns = read_csv(path)
+    np.testing.assert_array_equal(columns["y"], [3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
-# memory guards: block-wise text must not grow with the whole document
+# memory guards: reading and writing must not hold the whole document
 
 
 def _traced_peak_mb(call) -> float:
@@ -653,12 +746,24 @@ def _jsa_shaped(n):
     return {"nu1": np.repeat(axis, n), "nu2": np.tile(axis, n), "amplitude": amplitude.ravel()}
 
 
-def test_reading_a_long_trace_parses_its_blocks_from_bytes(tmp_path):
-    # a block parsed from a str buffer costs 4 bytes a character: 9.9 MB for this trace
-    tau = np.linspace(-2.2e-12, 2.2e-12, 176_001)
+def test_reading_a_long_trace_holds_little_beside_its_rows(tmp_path):
+    # the rows are 2.8 MB; 1 MB blocks parsed apart and joined took 7.1 MB
     path = tmp_path / "trace.csv"
-    write_csv(path, {"tau_s": tau, "p": 0.5 - 0.5 * np.cos(8e12 * tau) * np.exp(-(tau / 1e-12) ** 2)})
-    assert _traced_peak_mb(lambda: read_csv(path)) <= 8.0
+    _long_trace(path)
+    assert _traced_peak_mb(lambda: read_csv(path)) <= 4.0
+
+
+def test_a_long_body_read_line_by_line_holds_only_its_numbers(tmp_path):
+    # one comment sends all 176,001 rows line by line; holding the text whole
+    # would take 28.9 MB
+    clean, noted = tmp_path / "trace.csv", tmp_path / "noted.csv"
+    _long_trace(clean)
+    _long_trace(noted, note=True)
+    assert _traced_peak_mb(lambda: read_csv(noted)) <= 8.0
+    (meta, got), (_, expected) = read_csv(noted), read_csv(clean)
+    assert meta == {"note": "x"}
+    for name in ("tau_s", "p"):
+        np.testing.assert_array_equal(got[name].view(np.int64), expected[name].view(np.int64))
 
 
 def test_write_and_read_memory_stays_bounded(tmp_path):
